@@ -7,11 +7,10 @@ duration parameters for the narrowest line.
 """
 
 from .averaging import (AveragingParams, McConfig, i_s, maxwell_pdf, mc_oracle,
-                        pe_avg_double, pe_avg_triple_closed,
-                        pe_avg_triple_numeric, sample_maxwell)
+                        pe_avg_triple_closed, sample_maxwell)
 from .errors import (ConfigError, DomainError, InfeasibleError, MetricsError,
                      NoCrossingError, NoPeakError)
-from .evolution import (BiasTrain, QubitAmplitudes, Segment, ce_double,
+from .evolution import (BiasTrain, QubitAmplitudes, ce_double,
                         ce_triple, compose_train, dispersive_phase,
                         propagate_segment, resonant_amplitudes)
 from .optimizer import (ObjectiveConfig, OptimizationResult, SearchSpace,
@@ -19,7 +18,7 @@ from .optimizer import (ObjectiveConfig, OptimizationResult, SearchSpace,
 from .qubit import (DriveParams, RegimeQuantities, TransmonParams, omega_eg,
                     regime_quantities)
 from .spectroscopy import (Spectrum, SpectrumMetrics, cw_baseline, make_grid,
-                           metrics, sweep, sweep_refined)
+                           metrics, pe_average, sweep, sweep_refined)
 from .validation import run_validation
 
 __version__ = "0.1.0"
@@ -29,11 +28,11 @@ __all__ = [
     "DriveParams", "InfeasibleError", "McConfig", "MetricsError",
     "NoCrossingError", "NoPeakError", "ObjectiveConfig",
     "OptimizationResult", "QubitAmplitudes", "RegimeQuantities",
-    "SearchSpace", "Segment", "Spectrum", "SpectrumMetrics",
+    "SearchSpace", "Spectrum", "SpectrumMetrics",
     "TransmonParams", "ce_double", "ce_triple", "compose_train",
     "cw_baseline", "dispersive_phase", "i_s", "make_grid", "maxwell_pdf",
-    "mc_oracle", "metrics", "omega_eg", "optimize", "pe_avg_double",
-    "pe_avg_triple_closed", "pe_avg_triple_numeric", "propagate_segment",
+    "mc_oracle", "metrics", "omega_eg", "optimize", "pe_average",
+    "pe_avg_triple_closed", "propagate_segment",
     "regime_quantities", "resonant_amplitudes", "run_validation",
     "sample_maxwell", "seed_points", "sweep", "sweep_refined",
 ]

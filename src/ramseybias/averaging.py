@@ -13,10 +13,9 @@ adaptive quadrature are provided and must agree; the quadrature path is the
 oracle for the hand-derived expression.
 
 Closed-form ensemble averages are implemented for the two-segment train
-(exact) and for the three-segment train in the close-resonance limit; the
-three-segment spectrum away from resonance is integrated numerically. A
-Monte Carlo oracle built on the numeric train composer cross-checks all of
-them.
+(exact) and for the three-segment train in the close-resonance limit; trains
+of any order are integrated numerically. A Monte Carlo oracle built on the
+numeric train composer cross-checks all of them.
 """
 
 from __future__ import annotations
@@ -39,16 +38,16 @@ ArrayLike = Union[float, np.ndarray]
 X_CUTOFF = 8.0
 I_S_EPSABS = 1e-10
 PE_EPSABS = 1e-8
+# grid points per independent quad_vec integration
+PE_CHUNK = 256
 
 # raw averages further outside [0, 1] than this indicate a broken formula
 RANGE_TOL = 1e-8
 
-SCHEME_ORDER = {"double": 2, "triple": 3}
-
 
 @dataclass(frozen=True)
 class AveragingParams:
-    """Maxwell time constant, dispersion-to-resonance ratio and scheme.
+    """Maxwell time constant and dispersion-to-resonance ratio of a train.
 
     ``s`` is the time constant in seconds (x = tau/s), ``ratio_r`` the
     dispersive-to-resonant segment length ratio (T = R tau).
@@ -56,15 +55,12 @@ class AveragingParams:
 
     s: float
     ratio_r: float
-    scheme: str
 
     def __post_init__(self):
         if not self.s > 0:
             raise ValueError(f"time constant must be positive, got {self.s}")
         if self.ratio_r < 0:
             raise ValueError(f"ratio_r must be non-negative, got {self.ratio_r}")
-        if self.scheme not in ("double", "triple", "general"):
-            raise ValueError(f"unknown averaging scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -202,7 +198,6 @@ def _triple_population(x: float, lam: np.ndarray, theta: np.ndarray,
 
 def _pe_grid_numeric(n_res: int, lam: np.ndarray, theta: np.ndarray,
                      delta_d: np.ndarray, s: float, ratio_r: float, *,
-                     epsabs: float = PE_EPSABS, chunk: int = 256,
                      threads: int = 1) -> np.ndarray:
     """Duration-averaged train population on a frequency grid.
 
@@ -222,33 +217,17 @@ def _pe_grid_numeric(n_res: int, lam: np.ndarray, theta: np.ndarray,
         else:
             f = lambda x: 2.0 * x**3 * np.exp(-x * x) * train_excitation(
                 n_res, l * (s * x), t, d * (ratio_r * s * x))
-        val, _ = integrate.quad_vec(f, 0.0, X_CUTOFF, epsabs=epsabs,
+        val, _ = integrate.quad_vec(f, 0.0, X_CUTOFF, epsabs=PE_EPSABS,
                                     epsrel=1e-10, norm="max")
         return val
 
-    slices = [slice(i, i + chunk) for i in range(0, len(lam), chunk)]
+    slices = [slice(i, i + PE_CHUNK) for i in range(0, len(lam), PE_CHUNK)]
     if threads > 1 and len(slices) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(do_chunk, slices))
     else:
         parts = [do_chunk(sl) for sl in slices]
     return np.concatenate(parts)
-
-
-def pe_avg_double(q_res: RegimeQuantities, q_disp: RegimeQuantities,
-                  avg: AveragingParams) -> float:
-    """Ensemble-averaged excited population of the two-segment train.
-
-    Returns the raw closed-form value; values outside [0, 1] beyond
-    tolerance are reported as a formula-consistency warning, never
-    silently clamped here.
-    """
-    if avg.scheme != "double":
-        raise ValueError(f"expected scheme 'double', got {avg.scheme!r}")
-    val = float(_pe_double_formula(q_res.lam, q_res.theta, q_disp.delta_d,
-                                   avg.s, avg.ratio_r))
-    _check_range(val, "double-train average")
-    return val
 
 
 def pe_avg_triple_closed(q_res: RegimeQuantities, q_disp: RegimeQuantities,
@@ -258,65 +237,26 @@ def pe_avg_triple_closed(q_res: RegimeQuantities, q_disp: RegimeQuantities,
     Exact at zero detuning; off resonance it is an approximation and may
     leave [0, 1], which is expected and not warned about.
     """
-    if avg.scheme != "triple":
-        raise ValueError(f"expected scheme 'triple', got {avg.scheme!r}")
     return float(_pe_triple_closed_formula(q_res.lam, q_res.theta,
                                            q_disp.delta_d, avg.s, avg.ratio_r))
 
 
-def pe_avg_triple_numeric(q_res: RegimeQuantities, q_disp: RegimeQuantities,
-                          avg: AveragingParams) -> float:
-    """Full numeric duration average of the three-segment train population."""
-    if avg.scheme != "triple":
-        raise ValueError(f"expected scheme 'triple', got {avg.scheme!r}")
-    val = float(_pe_grid_numeric(3, q_res.lam, q_res.theta, q_disp.delta_d,
-                                 avg.s, avg.ratio_r)[0])
-    _check_range(val, "triple-train average")
-    return val
-
-
-def mc_oracle(scheme: str | int, q_res: RegimeQuantities,
-              q_disp: RegimeQuantities, drive: DriveParams,
-              avg: AveragingParams, mc: McConfig,
-              partitions: int = 1) -> tuple[float, float]:
+def mc_oracle(n_res: int, q_res: RegimeQuantities, q_disp: RegimeQuantities,
+              drive: DriveParams, avg: AveragingParams,
+              mc: McConfig) -> tuple[float, float]:
     """Brute-force sampled duration average; returns (mean, standard error).
 
-    Durations are drawn exactly from the normalized Maxwell density and
-    the population is evaluated through the numeric train composer, so the
-    estimate is independent of every closed form it validates. Sampling may
-    be split into ``partitions`` sub-streams with seeds derived from the
-    configured seed; the (seed, n_samples, partitions) triple maps to the
-    result deterministically.
+    Durations of the ``n_res``-segment train are drawn exactly from the
+    normalized Maxwell density and the population is evaluated through the
+    numeric train composer, so the estimate is independent of every closed
+    form it validates. The (seed, n_samples) pair maps to the result
+    deterministically.
     """
-    if isinstance(scheme, str):
-        if scheme not in SCHEME_ORDER:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        n_res = SCHEME_ORDER[scheme]
-    else:
-        n_res = int(scheme)
-        if n_res < 1:
-            raise ValueError(f"need at least one resonant segment, got {n_res}")
-    if partitions < 1:
-        raise ValueError(f"partitions must be >= 1, got {partitions}")
-
-    root = np.random.SeedSequence(mc.rng_seed)
-    if partitions == 1:
-        seqs = [root]
-        counts = [mc.n_samples]
-    else:
-        seqs = root.spawn(partitions)
-        base, rem = divmod(mc.n_samples, partitions)
-        counts = [base + (1 if i < rem else 0) for i in range(partitions)]
-
-    values = []
-    for seq, count in zip(seqs, counts):
-        if count == 0:
-            continue
-        rng = np.random.default_rng(seq)
-        x = sample_maxwell(rng, count)
-        train = BiasTrain(n_res, avg.s * x, avg.ratio_r)
-        values.append(compose_train(q_res, q_disp, drive, train).p_e())
-    pe = np.concatenate(values)
+    if n_res < 1:
+        raise ValueError(f"need at least one resonant segment, got {n_res}")
+    x = sample_maxwell(np.random.default_rng(mc.rng_seed), mc.n_samples)
+    train = BiasTrain(n_res, avg.s * x, avg.ratio_r)
+    pe = compose_train(q_res, q_disp, drive, train).p_e()
     mean = float(pe.mean())
     if mc.n_samples == 1:
         return mean, 0.0

@@ -85,8 +85,7 @@ def _averaging_for(cfg: RunConfig, scheme: str) -> AveragingParams | None:
         return None
     if cfg.s is None or cfg.ratio_r is None:
         raise ConfigError("[averaging] s, r: required for schemes other than cw")
-    base = "general" if scheme.startswith("general") else scheme
-    return AveragingParams(cfg.s, cfg.ratio_r, base)
+    return AveragingParams(cfg.s, cfg.ratio_r)
 
 
 def _sweep_command(cfg: RunConfig, scheme: str, out_dir: str, threads: int,

@@ -46,20 +46,6 @@ GROUND = QubitAmplitudes(0.0 + 0.0j, 1.0 + 0.0j)
 
 
 @dataclass(frozen=True)
-class Segment:
-    """One bias-train interval: ``regime`` is "resonant" or "dispersive"."""
-
-    regime: str
-    duration: float
-
-    def __post_init__(self):
-        if self.regime not in ("resonant", "dispersive"):
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if np.any(np.asarray(self.duration) < 0):
-            raise ValueError("segment duration must be non-negative")
-
-
-@dataclass(frozen=True)
 class BiasTrain:
     """Alternating train: n_res resonant segments of length tau, interleaved
     with (n_res - 1) dispersive segments of length ratio_r * tau.
@@ -82,18 +68,6 @@ class BiasTrain:
     @property
     def t_disp(self) -> ArrayLike:
         return self.ratio_r * self.tau
-
-    @property
-    def total_duration(self) -> ArrayLike:
-        return (self.n_res + (self.n_res - 1) * self.ratio_r) * self.tau
-
-    def segments(self) -> list[Segment]:
-        out = []
-        for k in range(self.n_res):
-            if k > 0:
-                out.append(Segment("dispersive", self.t_disp))
-            out.append(Segment("resonant", self.tau))
-        return out
 
 
 def propagate_segment(state: QubitAmplitudes, q: RegimeQuantities,

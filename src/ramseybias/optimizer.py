@@ -104,7 +104,6 @@ def optimize(space: SearchSpace, transmon: TransmonParams, eta: float,
     peak, then smaller R, then smaller s. Raises InfeasibleError when no
     point is feasible, carrying the best-peak point for diagnosis.
     """
-    scheme_base = "general" if space.scheme.startswith("general") else space.scheme
     cw_ref = sweep_refined("cw", transmon, eta, omega_min, omega_max,
                            coarse_step, refine_step, cw_amplitude=cw_amplitude,
                            threads=threads)
@@ -112,7 +111,7 @@ def optimize(space: SearchSpace, transmon: TransmonParams, eta: float,
     trace: list[EvalPoint] = []
     for s in space.s_grid:
         for r in space.r_grid:
-            avg = AveragingParams(s, r, scheme_base)
+            avg = AveragingParams(s, r)
             try:
                 spec = sweep_refined(space.scheme, transmon, eta, omega_min,
                                      omega_max, coarse_step, refine_step, avg,

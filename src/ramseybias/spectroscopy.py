@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import (AveragingParams, _pe_double_formula, _pe_grid_numeric,
-                        RANGE_TOL)
+from .averaging import (AveragingParams, ArrayLike, _check_range,
+                        _pe_double_formula, _pe_grid_numeric)
 from .errors import DomainError, NoCrossingError, NoPeakError
 from .qubit import DISPERSIVE_MARGIN, TransmonParams, omega_eg
 from .units import to_ghz, to_ns
@@ -102,18 +102,6 @@ def _grid_quantities(transmon: TransmonParams, eta: float,
     return lam, theta, delta_d
 
 
-def _clamp(raw: np.ndarray, label: str) -> np.ndarray:
-    low = float(np.min(raw))
-    high = float(np.max(raw))
-    if low < -RANGE_TOL or high > 1.0 + RANGE_TOL:
-        warnings.warn(
-            f"{label}: raw averages outside [0, 1] (min {low:.3e}, "
-            f"max {high:.3e}); clamping for output only",
-            stacklevel=3,
-        )
-    return np.clip(raw, 0.0, 1.0)
-
-
 def _snapshot(transmon, eta, scheme, grid, avg, cw_amplitude) -> dict:
     snap = {
         "scheme": scheme,
@@ -150,6 +138,29 @@ def parse_scheme(scheme: str) -> int | None:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def pe_average(n_res: int, lam: ArrayLike, theta: ArrayLike,
+               delta_d: ArrayLike, avg: AveragingParams, *,
+               threads: int = 1) -> ArrayLike:
+    """Duration-averaged excited population of an ``n_res``-segment train.
+
+    Takes the resonant-bias quantities lam and theta and the dispersive
+    phase rate delta_d, as scalars (returns a float) or as grids (returns an
+    array). The two-segment train uses the exact closed form; every other
+    order integrates the train population by vector quadrature, whose
+    result does not depend on ``threads``. Raw values are returned; values
+    outside [0, 1] beyond tolerance are warned about, never clamped here.
+    """
+    if n_res < 1:
+        raise ValueError(f"need at least one resonant segment, got {n_res}")
+    if n_res == 2:
+        raw = _pe_double_formula(lam, theta, delta_d, avg.s, avg.ratio_r)
+    else:
+        raw = _pe_grid_numeric(n_res, lam, theta, delta_d, avg.s, avg.ratio_r,
+                               threads=threads)
+    _check_range(raw, f"{n_res}-segment train average")
+    return float(np.ravel(raw)[0]) if np.ndim(lam) == 0 else raw
+
+
 def cw_baseline(transmon: TransmonParams, eta: float, omega_grid: np.ndarray,
                 amplitude: float = CW_AMPLITUDE_DEFAULT) -> Spectrum:
     """Continuous-wave reference line A eta^2/(delta^2 + eta^2).
@@ -168,15 +179,16 @@ def cw_baseline(transmon: TransmonParams, eta: float, omega_grid: np.ndarray,
 
 def sweep(scheme: str, transmon: TransmonParams, eta: float,
           omega_grid: np.ndarray, avg: AveragingParams | None = None, *,
-          cw_amplitude: float = CW_AMPLITUDE_DEFAULT, chunk: int = 256,
+          cw_amplitude: float = CW_AMPLITUDE_DEFAULT,
           threads: int = 1) -> Spectrum:
     """Averaged transition probability of one scheme over a frequency grid.
 
-    ``scheme`` is "cw", "double", "triple" or "general:<n>". The detuning
-    quantities of both bias points are recomputed at every grid point.
-    Schemes other than "cw" require ``avg``; "double" uses the exact
-    closed-form average, all multi-segment schemes integrate the composed
-    train population numerically.
+    ``scheme`` is "cw", "double", "triple" or "general:<n>"; its
+    resonant-segment count alone picks the averaging (see
+    :func:`pe_average`), so tags naming the same train give the same
+    spectrum. The detuning quantities of both bias points are recomputed at
+    every grid point. Schemes other than "cw" require ``avg``. Raw averages
+    are clipped to [0, 1] for the spectrum.
     """
     grid = np.asarray(omega_grid, dtype=float)
     if grid.size == 0:
@@ -189,12 +201,8 @@ def sweep(scheme: str, transmon: TransmonParams, eta: float,
     if avg is None:
         raise ValueError(f"scheme {scheme!r} requires averaging parameters")
     lam, theta, delta_d = _grid_quantities(transmon, eta, grid)
-    if scheme == "double":
-        raw = _pe_double_formula(lam, theta, delta_d, avg.s, avg.ratio_r)
-    else:
-        raw = _pe_grid_numeric(n_res, lam, theta, delta_d, avg.s, avg.ratio_r,
-                               chunk=chunk, threads=threads)
-    p = _clamp(np.atleast_1d(raw), f"{scheme} sweep")
+    raw = pe_average(n_res, lam, theta, delta_d, avg, threads=threads)
+    p = np.clip(raw, 0.0, 1.0)
     snap = _snapshot(transmon, eta, scheme, grid, avg, cw_amplitude)
     return Spectrum(grid, p, scheme, snap)
 

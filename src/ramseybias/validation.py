@@ -10,17 +10,17 @@ byte-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .averaging import (AveragingParams, McConfig, i_s, mc_oracle,
-                        pe_avg_double, pe_avg_triple_closed,
-                        pe_avg_triple_numeric, _pe_double_formula)
+                        pe_avg_triple_closed)
 from .evolution import (BiasTrain, GROUND, ce_double, ce_triple, compose_train,
                         dispersive_phase, propagate_segment)
 from .qubit import DriveParams, TransmonParams, omega_eg, regime_quantities
-from .spectroscopy import make_grid
+from .spectroscopy import _grid_quantities, make_grid, pe_average
 from .units import to_ghz
 
 
@@ -73,10 +73,12 @@ def _quantities(transmon, eta, omega):
 def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
                    s: float | None = None, ratio_r: float = 0.001,
                    mc_draws: int = 5,
-                   pe_double_fn: Callable = pe_avg_double) -> ValidationReport:
+                   pe_double_fn: Callable = partial(pe_average, 2)
+                   ) -> ValidationReport:
     """Run every cross-check and collect a deterministic report.
 
-    ``pe_double_fn`` exists so a deliberately corrupted closed form can be
+    ``pe_double_fn(lam, theta, delta_d, avg)`` is the two-segment average
+    under test; it exists so a deliberately corrupted closed form can be
     injected to prove the Monte Carlo comparison actually has teeth.
     """
     rng = np.random.default_rng(mc.rng_seed)
@@ -124,25 +126,24 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
                               "1000-point grid, moment argument in [0, 10 pi]"))
 
     # closed-form averages vs the Monte Carlo oracle
-    for name, scheme in (("double_avg_vs_monte_carlo", "double"),
-                         ("triple_avg_vs_monte_carlo_resonant", "triple")):
+    for name, n_res in (("double_avg_vs_monte_carlo", 2),
+                        ("triple_avg_vs_monte_carlo_resonant", 3)):
         worst_sigma = 0.0
         worst_abs = 0.0
         ok = True
         for draw in range(mc_draws):
-            if scheme == "double":
+            if n_res == 2:
                 omega = rng.uniform(w_res - 2.0 * eta, w_res + 2.0 * eta)
-                avg = AveragingParams(s * rng.uniform(0.5, 2.0),
-                                      float(rng.uniform(0.0, 0.05)), "double")
             else:
                 # the close-resonance closed form is exact only on resonance
                 omega = w_res
-                avg = AveragingParams(s * rng.uniform(0.5, 2.0),
-                                      float(rng.uniform(0.0, 0.05)), "triple")
+            avg = AveragingParams(s * rng.uniform(0.5, 2.0),
+                                  float(rng.uniform(0.0, 0.05)))
             drive, q_res, q_disp = _quantities(transmon, eta, omega)
-            closed = (pe_double_fn(q_res, q_disp, avg) if scheme == "double"
+            closed = (pe_double_fn(q_res.lam, q_res.theta, q_disp.delta_d, avg)
+                      if n_res == 2
                       else pe_avg_triple_closed(q_res, q_disp, avg))
-            mean, err = mc_oracle(scheme, q_res, q_disp, drive, avg,
+            mean, err = mc_oracle(n_res, q_res, q_disp, drive, avg,
                                   McConfig(mc.n_samples, mc.rng_seed + draw))
             dev = abs(closed - mean)
             bound = max(3.0 * err, 1e-3)
@@ -155,9 +156,9 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
 
     # close-resonance closed form vs the numeric average, on resonance
     drive, q_res, q_disp = _quantities(transmon, eta, w_res)
-    avg3 = AveragingParams(0.68 * np.pi / (2.0 * eta), 0.045, "triple")
+    avg3 = AveragingParams(0.68 * np.pi / (2.0 * eta), 0.045)
     dev = abs(pe_avg_triple_closed(q_res, q_disp, avg3)
-              - pe_avg_triple_numeric(q_res, q_disp, avg3))
+              - pe_average(3, q_res.lam, q_res.theta, q_disp.delta_d, avg3))
     checks.append(CheckResult("triple_closed_vs_numeric_resonant",
                               dev <= 1e-6, dev, 1e-6,
                               "zero detuning, where the closed form is exact"))
@@ -166,7 +167,8 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
     off = w_res + 2.0 * np.pi * 0.3e9
     drive_off, q_res_off, q_disp_off = _quantities(transmon, eta, off)
     dev_off = abs(pe_avg_triple_closed(q_res_off, q_disp_off, avg3)
-                  - pe_avg_triple_numeric(q_res_off, q_disp_off, avg3))
+                  - pe_average(3, q_res_off.lam, q_res_off.theta,
+                               q_disp_off.delta_d, avg3))
     checks.append(CheckResult("triple_closed_offres_deviation", True, dev_off,
                               float("inf"),
                               "informational: 300 MHz off resonance the "
@@ -193,11 +195,8 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
     # probability range of the averaged curves over the default window
     grid = make_grid(w_res - 2.0 * np.pi * 1.0e9, w_res + 2.0 * np.pi * 1.0e9,
                      2.0 * np.pi * 5e6)
-    lam = np.hypot((w_res - grid) / 2.0, eta)
-    theta = np.arctan2(eta, (w_res - grid) / 2.0)
-    w_disp = omega_eg(transmon, transmon.phi_disp)
-    delta_d = (w_disp - grid) / 2.0 + eta**2 / (w_disp - grid)
-    raw = _pe_double_formula(lam, theta, delta_d, s, ratio_r)
+    avg = AveragingParams(s, ratio_r)
+    raw = pe_average(2, *_grid_quantities(transmon, eta, grid), avg)
     excess = float(max(np.max(raw) - 1.0, -np.min(raw), 0.0))
     checks.append(CheckResult("double_avg_probability_range", excess <= 1e-8,
                               excess, 1e-8,
@@ -206,10 +205,9 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
                               f"{to_ghz(w_res):.4f} GHz"))
 
     # bitwise determinism of the sampled oracle
-    avg = AveragingParams(s, ratio_r, "double")
-    first = mc_oracle("double", q_res, q_disp, drive, avg,
+    first = mc_oracle(2, q_res, q_disp, drive, avg,
                       McConfig(min(mc.n_samples, 10**5), mc.rng_seed))
-    second = mc_oracle("double", q_res, q_disp, drive, avg,
+    second = mc_oracle(2, q_res, q_disp, drive, avg,
                        McConfig(min(mc.n_samples, 10**5), mc.rng_seed))
     dev = abs(first[0] - second[0]) + abs(first[1] - second[1])
     checks.append(CheckResult("mc_determinism", dev == 0.0, dev, 0.0,

@@ -25,9 +25,9 @@ import pytest
 
 from ramseybias import (AveragingParams, BiasTrain, DriveParams, McConfig,
                         TransmonParams, ce_double, ce_triple, compose_train,
-                        mc_oracle, metrics, omega_eg, pe_avg_double,
-                        pe_avg_triple_closed, pe_avg_triple_numeric,
-                        regime_quantities, run_validation, sweep_refined)
+                        mc_oracle, metrics, omega_eg, pe_average,
+                        pe_avg_triple_closed, regime_quantities,
+                        run_validation, sweep_refined)
 from ramseybias.units import ghz, to_ghz, to_mhz
 
 ETA = ghz(0.1)
@@ -55,12 +55,16 @@ def quantities(transmon, omega):
     return drive, q_res, q_disp
 
 
+def pe_avg(n_res, q_res, q_disp, avg):
+    return pe_average(n_res, q_res.lam, q_res.theta, q_disp.delta_d, avg)
+
+
 def fitted_transmon():
     return TransmonParams.from_ghz(ec_ghz=0.5 * 4.505 / DEFAULT_PEAK_GHZ)
 
 
 def scheme_metrics(transmon, scheme, s, r):
-    avg = AveragingParams(s, r, scheme)
+    avg = AveragingParams(s, r)
     spec = sweep_refined(scheme, transmon, ETA, WINDOW[0], WINDOW[1],
                          COARSE, REFINE, avg)
     cw = sweep_refined("cw", transmon, ETA, WINDOW[0], WINDOW[1],
@@ -226,18 +230,18 @@ def test_criterion_9_oracle_equivalence():
         if draw % 2 == 0:
             omega = float(rng.uniform(w_res - 2 * ETA, w_res + 2 * ETA))
             avg = AveragingParams(S_DOUBLE * rng.uniform(0.5, 2.0),
-                                  float(rng.uniform(0.0, 0.05)), "double")
+                                  float(rng.uniform(0.0, 0.05)))
             drive, q_res, q_disp = quantities(transmon, omega)
-            closed = pe_avg_double(q_res, q_disp, avg)
-            scheme = "double"
+            closed = pe_avg(2, q_res, q_disp, avg)
+            n_res = 2
         else:
             # the close-resonance closed form is exact only at zero detuning
             avg = AveragingParams(S_TRIPLE * rng.uniform(0.5, 2.0),
-                                  float(rng.uniform(0.0, 0.05)), "triple")
+                                  float(rng.uniform(0.0, 0.05)))
             drive, q_res, q_disp = quantities(transmon, w_res)
             closed = pe_avg_triple_closed(q_res, q_disp, avg)
-            scheme = "triple"
-        mean, err = mc_oracle(scheme, q_res, q_disp, drive, avg,
+            n_res = 3
+        mean, err = mc_oracle(n_res, q_res, q_disp, drive, avg,
                               McConfig(n_samples, 1000 + draw))
         bound = max(3.0 * err, 1e-3)
         worst_ratio = max(worst_ratio, abs(closed - mean) / bound)
@@ -252,16 +256,16 @@ def test_criterion_9_oracle_equivalence():
 def test_criterion_10_close_resonance_approximation():
     transmon = TransmonParams.from_ghz()
     w_res = omega_eg(transmon, transmon.phi_res)
-    avg = AveragingParams(S_TRIPLE, R_TRIPLE, "triple")
+    avg = AveragingParams(S_TRIPLE, R_TRIPLE)
     _, q_res, q_disp = quantities(transmon, w_res)
     on_res = abs(pe_avg_triple_closed(q_res, q_disp, avg)
-                 - pe_avg_triple_numeric(q_res, q_disp, avg))
+                 - pe_avg(3, q_res, q_disp, avg))
     # off-resonance deviation is reported, not asserted
     deviations = []
     for off_mhz in (250.0, 500.0, 1000.0):
         _, q_r, q_d = quantities(transmon, w_res + ghz(off_mhz / 1e3))
         deviations.append(abs(pe_avg_triple_closed(q_r, q_d, avg)
-                              - pe_avg_triple_numeric(q_r, q_d, avg)))
+                              - pe_avg(3, q_r, q_d, avg)))
     ok = on_res <= 1e-6
     report(10, ok, f"on-resonance |closed - numeric| = {on_res:.2e} "
                    f"(<= 1e-6); deviations at +250/+500/+1000 MHz: "

@@ -9,9 +9,8 @@ from scipy.optimize import minimize_scalar
 
 from ramseybias import (AveragingParams, DriveParams, McConfig, TransmonParams,
                         ce_double, i_s, maxwell_pdf, mc_oracle, omega_eg,
-                        pe_avg_double, pe_avg_triple_closed,
-                        pe_avg_triple_numeric, regime_quantities,
-                        sample_maxwell)
+                        pe_average, pe_avg_triple_closed, regime_quantities,
+                        sample_maxwell, sweep)
 from ramseybias.units import ghz
 
 TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)
@@ -24,6 +23,10 @@ def quantities(omega):
     q_res = regime_quantities(TRANSMON, drive, TRANSMON.phi_res, "resonant")
     q_disp = regime_quantities(TRANSMON, drive, TRANSMON.phi_disp, "dispersive")
     return drive, q_res, q_disp
+
+
+def pe_avg(n_res, q_res, q_disp, avg):
+    return pe_average(n_res, q_res.lam, q_res.theta, q_disp.delta_d, avg)
 
 
 # ---------------------------------------------------------------- density
@@ -115,22 +118,11 @@ def test_moment_validates_inputs():
 
 def test_averaging_params_validation():
     with pytest.raises(ValueError):
-        AveragingParams(-1e-9, 0.1, "double")
+        AveragingParams(-1e-9, 0.1)
     with pytest.raises(ValueError):
-        AveragingParams(1e-9, -0.1, "double")
-    with pytest.raises(ValueError):
-        AveragingParams(1e-9, 0.1, "quadruple")
+        AveragingParams(1e-9, -0.1)
     with pytest.raises(ValueError):
         McConfig(0, 1)
-
-
-def test_scheme_preconditions():
-    _, q_res, q_disp = quantities(W_RES)
-    wrong = AveragingParams(1e-9, 0.001, "triple")
-    with pytest.raises(ValueError):
-        pe_avg_double(q_res, q_disp, wrong)
-    with pytest.raises(ValueError):
-        pe_avg_triple_closed(q_res, q_disp, AveragingParams(1e-9, 0.001, "double"))
 
 
 # ------------------------------------------------------- closed averages
@@ -139,21 +131,21 @@ def test_double_constant_term_limit():
     # on resonance with every oscillatory moment pushed to zero the average
     # reduces to its constant term 1/4
     _, q_res, q_disp = quantities(W_RES)
-    avg = AveragingParams(1e-5, 0.001, "double")  # all moment arguments >> 1
-    assert pe_avg_double(q_res, q_disp, avg) == pytest.approx(0.25, abs=1e-4)
+    avg = AveragingParams(1e-5, 0.001)  # all moment arguments >> 1
+    assert pe_avg(2, q_res, q_disp, avg) == pytest.approx(0.25, abs=1e-4)
 
 
 def test_triple_constant_term_limit():
     _, q_res, q_disp = quantities(W_RES)
-    avg = AveragingParams(1e-5, 0.001, "triple")
+    avg = AveragingParams(1e-5, 0.001)
     assert pe_avg_triple_closed(q_res, q_disp, avg) == pytest.approx(0.375, abs=1e-4)
 
 
 def test_triple_closed_equals_numeric_on_resonance():
     _, q_res, q_disp = quantities(W_RES)
-    avg = AveragingParams(0.68 * math.pi / (2 * ETA), 0.045, "triple")
+    avg = AveragingParams(0.68 * math.pi / (2 * ETA), 0.045)
     closed = pe_avg_triple_closed(q_res, q_disp, avg)
-    numeric = pe_avg_triple_numeric(q_res, q_disp, avg)
+    numeric = pe_avg(3, q_res, q_disp, avg)
     assert abs(closed - numeric) < 1e-6
 
 
@@ -162,9 +154,9 @@ def test_triple_closed_deviates_off_resonance():
     # deviation is real and reported, not asserted small
     _, q_res, q_disp = quantities(W_RES + ghz(0.4))  # detuning/2pi = 200 MHz
     assert abs(q_res.delta) == pytest.approx(ghz(0.2), rel=1e-12)
-    avg = AveragingParams(0.68 * math.pi / (2 * ETA), 0.045, "triple")
+    avg = AveragingParams(0.68 * math.pi / (2 * ETA), 0.045)
     closed = pe_avg_triple_closed(q_res, q_disp, avg)
-    numeric = pe_avg_triple_numeric(q_res, q_disp, avg)
+    numeric = pe_avg(3, q_res, q_disp, avg)
     deviation = abs(closed - numeric)
     assert deviation > 1e-2
     print(f"close-resonance form deviation at 200 MHz detuning: {deviation:.4f}")
@@ -175,8 +167,8 @@ def test_triple_numeric_gapless_reduces_to_long_segment():
     # check against direct quadrature of the reduced integrand
     _, q_res, q_disp = quantities(W_RES)
     s = 0.68 * math.pi / (2 * ETA)
-    avg = AveragingParams(s, 0.0, "triple")
-    got = pe_avg_triple_numeric(q_res, q_disp, avg)
+    avg = AveragingParams(s, 0.0)
+    got = pe_avg(3, q_res, q_disp, avg)
     reduced = lambda x: 2 * x**3 * math.exp(-x * x) * math.sin(
         3 * q_res.lam * s * x) ** 2
     want, _ = integrate.quad(reduced, 0, 8, epsabs=1e-10, limit=400)
@@ -188,8 +180,8 @@ def test_double_range_on_physical_inputs():
     for _ in range(50):
         _, q_res, q_disp = quantities(rng.uniform(0.8, 1.2) * W_RES)
         avg = AveragingParams(rng.uniform(0.3, 3.0) * 1e-9,
-                              rng.uniform(0.0, 0.1), "double")
-        raw = pe_avg_double(q_res, q_disp, avg)
+                              rng.uniform(0.0, 0.1))
+        raw = pe_avg(2, q_res, q_disp, avg)
         assert -1e-8 <= raw <= 1.0 + 1e-8
 
 
@@ -198,8 +190,8 @@ def test_triple_numeric_range_on_physical_inputs():
     for _ in range(10):
         _, q_res, q_disp = quantities(rng.uniform(0.8, 1.2) * W_RES)
         avg = AveragingParams(rng.uniform(0.3, 3.0) * 1e-9,
-                              rng.uniform(0.0, 0.1), "triple")
-        raw = pe_avg_triple_numeric(q_res, q_disp, avg)
+                              rng.uniform(0.0, 0.1))
+        raw = pe_avg(3, q_res, q_disp, avg)
         assert -1e-8 <= raw <= 1.0 + 1e-8
 
 
@@ -207,24 +199,35 @@ def test_double_operating_point_regression():
     # frozen self-regression at the reference operating point: the refined
     # peak of the two-segment spectrum at s = 0.68 pi / 3 eta, R = 0.001
     _, q_res, q_disp = quantities(ghz(4.504648702454))
-    avg = AveragingParams(0.68 * math.pi / (3.0 * ETA), 0.001, "double")
-    assert pe_avg_double(q_res, q_disp, avg) == pytest.approx(
+    avg = AveragingParams(0.68 * math.pi / (3.0 * ETA), 0.001)
+    assert pe_avg(2, q_res, q_disp, avg) == pytest.approx(
         0.675778618004, abs=1e-9)
 
 
-def test_out_of_range_formula_warns():
-    # a corrupted closed form trips the consistency diagnostic
+def test_out_of_range_formula_warns(monkeypatch):
+    # a corrupted closed form trips the one consistency diagnostic, on the
+    # scalar average and on a sweep, which only clips for output
+    from ramseybias import spectroscopy
     from ramseybias.averaging import _check_range
     with pytest.warns(UserWarning, match="outside"):
         _check_range(1.05, "corrupted average")
+    monkeypatch.setattr(spectroscopy, "_pe_double_formula",
+                        lambda lam, *args: np.full(np.shape(lam), 1.05))
+    _, q_res, q_disp = quantities(W_RES)
+    avg = AveragingParams(1e-9, 0.001)
+    with pytest.warns(UserWarning, match="outside"):
+        assert pe_avg(2, q_res, q_disp, avg) == 1.05
+    with pytest.warns(UserWarning, match="outside"):
+        spec = sweep("double", TRANSMON, ETA, np.array([W_RES]), avg)
+    assert spec.p_e[0] == 1.0
 
 
 # ------------------------------------------------------------ MC oracle
 
 def test_mc_single_sample_convention():
     drive, q_res, q_disp = quantities(W_RES)
-    avg = AveragingParams(1.1e-9, 0.01, "double")
-    mean, err = mc_oracle("double", q_res, q_disp, drive, avg, McConfig(1, 7))
+    avg = AveragingParams(1.1e-9, 0.01)
+    mean, err = mc_oracle(2, q_res, q_disp, drive, avg, McConfig(1, 7))
     assert err == 0.0
     # equals the single-trajectory population drawn from the same stream
     rng = np.random.default_rng(np.random.SeedSequence(7))
@@ -236,52 +239,33 @@ def test_mc_single_sample_convention():
 
 def test_mc_deterministic():
     drive, q_res, q_disp = quantities(W_RES)
-    avg = AveragingParams(1.1e-9, 0.01, "double")
-    a = mc_oracle("double", q_res, q_disp, drive, avg, McConfig(20000, 99))
-    b = mc_oracle("double", q_res, q_disp, drive, avg, McConfig(20000, 99))
+    avg = AveragingParams(1.1e-9, 0.01)
+    a = mc_oracle(2, q_res, q_disp, drive, avg, McConfig(20000, 99))
+    b = mc_oracle(2, q_res, q_disp, drive, avg, McConfig(20000, 99))
     assert a == b
-
-
-def test_mc_partitioned_deterministic():
-    drive, q_res, q_disp = quantities(W_RES)
-    avg = AveragingParams(1.1e-9, 0.01, "double")
-    a = mc_oracle("double", q_res, q_disp, drive, avg, McConfig(30001, 5),
-                  partitions=4)
-    b = mc_oracle("double", q_res, q_disp, drive, avg, McConfig(30001, 5),
-                  partitions=4)
-    assert a == b
-    # a different partition count maps to a different but valid estimate
-    c = mc_oracle("double", q_res, q_disp, drive, avg, McConfig(30001, 5),
-                  partitions=2)
-    assert abs(a[0] - c[0]) < 6 * (a[1] + c[1])
 
 
 def test_mc_agrees_with_closed_double():
     rng = np.random.default_rng(31)
     drive, q_res, q_disp = quantities(W_RES + ETA * rng.uniform(-2, 2))
-    avg = AveragingParams(1.4e-9, 0.02, "double")
-    closed = pe_avg_double(q_res, q_disp, avg)
-    mean, err = mc_oracle("double", q_res, q_disp, drive, avg,
+    avg = AveragingParams(1.4e-9, 0.02)
+    closed = pe_avg(2, q_res, q_disp, avg)
+    mean, err = mc_oracle(2, q_res, q_disp, drive, avg,
                           McConfig(200000, 17))
     assert abs(closed - mean) <= max(3.0 * err, 1e-3)
 
 
 def test_mc_agrees_with_closed_triple_on_resonance():
     drive, q_res, q_disp = quantities(W_RES)
-    avg = AveragingParams(0.68 * math.pi / (2 * ETA), 0.045, "triple")
+    avg = AveragingParams(0.68 * math.pi / (2 * ETA), 0.045)
     closed = pe_avg_triple_closed(q_res, q_disp, avg)
-    mean, err = mc_oracle("triple", q_res, q_disp, drive, avg,
+    mean, err = mc_oracle(3, q_res, q_disp, drive, avg,
                           McConfig(200000, 23))
     assert abs(closed - mean) <= max(3.0 * err, 1e-3)
 
 
 def test_mc_scheme_validation():
     drive, q_res, q_disp = quantities(W_RES)
-    avg = AveragingParams(1e-9, 0.01, "double")
-    with pytest.raises(ValueError):
-        mc_oracle("cw", q_res, q_disp, drive, avg, McConfig(10, 1))
+    avg = AveragingParams(1e-9, 0.01)
     with pytest.raises(ValueError):
         mc_oracle(0, q_res, q_disp, drive, avg, McConfig(10, 1))
-    with pytest.raises(ValueError):
-        mc_oracle("double", q_res, q_disp, drive, avg, McConfig(10, 1),
-                  partitions=0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ramseybias import (BiasTrain, DriveParams, QubitAmplitudes, Segment,
+from ramseybias import (BiasTrain, DriveParams, QubitAmplitudes,
                         TransmonParams, ce_double, ce_triple, compose_train,
                         dispersive_phase, propagate_segment, regime_quantities,
                         resonant_amplitudes)
@@ -229,15 +229,6 @@ def test_double_continuity():
     assert abs(base - nearby) < 1e-5
 
 
-def test_bias_train_segments():
-    train = BiasTrain(3, 2e-9, 0.1)
-    segs = train.segments()
-    assert [s.regime for s in segs] == ["resonant", "dispersive", "resonant",
-                                        "dispersive", "resonant"]
-    assert segs[1].duration == pytest.approx(0.2e-9)
-    assert train.total_duration == pytest.approx((3 + 2 * 0.1) * 2e-9)
-
-
 def test_train_validation():
     with pytest.raises(ValueError):
         BiasTrain(0, 1e-9, 0.1)
@@ -245,8 +236,6 @@ def test_train_validation():
         BiasTrain(2, -1e-9, 0.1)
     with pytest.raises(ValueError):
         BiasTrain(2, 1e-9, -0.1)
-    with pytest.raises(ValueError):
-        Segment("adiabatic", 1e-9)
 
 
 def test_phase_free_recursion_matches_composer():

@@ -107,7 +107,7 @@ def test_optimize_deterministic_and_rerunnable():
     spec = sweep_refined("double", TRANSMON, ETA, WINDOW["omega_min"],
                          WINDOW["omega_max"], WINDOW["coarse_step"],
                          WINDOW["refine_step"],
-                         AveragingParams(s3, 0.001, "double"))
+                         AveragingParams(s3, 0.001))
     cw_ref = sweep_refined("cw", TRANSMON, ETA, WINDOW["omega_min"],
                            WINDOW["omega_max"], WINDOW["coarse_step"],
                            WINDOW["refine_step"])

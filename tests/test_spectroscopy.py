@@ -9,7 +9,8 @@ import pytest
 from ramseybias import (AveragingParams, DomainError, DriveParams,
                         NoCrossingError, NoPeakError, Spectrum, TransmonParams,
                         cw_baseline, make_grid, metrics, omega_eg,
-                        pe_avg_double, regime_quantities, sweep, sweep_refined)
+                        pe_average, regime_quantities, sweep, sweep_refined)
+from ramseybias.averaging import PE_CHUNK, _pe_double_formula, _pe_grid_numeric
 from ramseybias.spectroscopy import _grid_quantities, parse_scheme
 from ramseybias.units import ghz, to_ghz, to_mhz
 
@@ -19,8 +20,8 @@ W_RES = omega_eg(TRANSMON, TRANSMON.phi_res)
 S3 = 0.68 * math.pi / (3.0 * ETA)
 
 
-def default_avg(scheme="double", s=S3, r=0.001):
-    return AveragingParams(s, r, scheme)
+def default_avg(s=S3, r=0.001):
+    return AveragingParams(s, r)
 
 
 # ---------------------------------------------------------------- grids
@@ -150,7 +151,8 @@ def test_single_point_sweep_matches_scalar_average():
     q_res = regime_quantities(TRANSMON, drive, TRANSMON.phi_res, "resonant")
     q_disp = regime_quantities(TRANSMON, drive, TRANSMON.phi_disp, "dispersive")
     assert spec.p_e[0] == pytest.approx(
-        pe_avg_double(q_res, q_disp, default_avg()), rel=1e-12)
+        pe_average(2, q_res.lam, q_res.theta, q_disp.delta_d, default_avg()),
+        rel=1e-12)
     assert q_res.delta == 0.0
 
 
@@ -194,13 +196,22 @@ def test_grid_quantities_match_pointwise_route():
         assert delta_d[i] == pytest.approx(q_disp.delta_d, rel=1e-14)
 
 
-def test_general_two_segment_sweep_matches_closed_double():
+def test_numeric_two_segment_average_matches_closed_double():
     # the numeric general-order path against the exact closed-form average
     grid = make_grid(W_RES - ghz(0.5), W_RES + ghz(0.5), ghz(0.05))
-    closed = sweep("double", TRANSMON, ETA, grid, default_avg())
-    numeric = sweep("general:2", TRANSMON, ETA, grid,
-                    default_avg(scheme="general"))
-    assert np.max(np.abs(closed.p_e - numeric.p_e)) < 1e-7
+    lam, theta, delta_d = _grid_quantities(TRANSMON, ETA, grid)
+    closed = _pe_double_formula(lam, theta, delta_d, S3, 0.001)
+    numeric = _pe_grid_numeric(2, lam, theta, delta_d, S3, 0.001)
+    assert np.max(np.abs(closed - numeric)) < 1e-7
+
+
+def test_tags_naming_the_same_train_give_identical_spectra():
+    # the resonant-segment count alone picks the averaging
+    grid = make_grid(W_RES - ghz(0.5), W_RES + ghz(0.5), ghz(0.05))
+    for tag, general in (("double", "general:2"), ("triple", "general:3")):
+        named = sweep(tag, TRANSMON, ETA, grid, default_avg())
+        numbered = sweep(general, TRANSMON, ETA, grid, default_avg())
+        assert np.array_equal(named.p_e, numbered.p_e)
 
 
 def test_spectrum_validation():
@@ -234,10 +245,12 @@ def test_sweep_refined_merges_monotonically():
 
 
 def test_threaded_sweep_is_deterministic():
-    grid = make_grid(W_RES - ghz(0.3), W_RES + ghz(0.3), ghz(0.01))
-    avg = AveragingParams(0.68 * math.pi / (2 * ETA), 0.045, "triple")
-    serial = sweep("triple", TRANSMON, ETA, grid, avg, chunk=16, threads=1)
-    threaded = sweep("triple", TRANSMON, ETA, grid, avg, chunk=16, threads=4)
+    # more than two quadrature chunks, so the pool really splits the grid
+    grid = make_grid(W_RES - ghz(0.3), W_RES + ghz(0.3), ghz(0.001))
+    assert grid.size > 2 * PE_CHUNK
+    avg = AveragingParams(0.68 * math.pi / (2 * ETA), 0.045)
+    serial = sweep("triple", TRANSMON, ETA, grid, avg, threads=1)
+    threaded = sweep("triple", TRANSMON, ETA, grid, avg, threads=4)
     assert np.array_equal(serial.p_e, threaded.p_e)
 
 
@@ -253,7 +266,7 @@ def test_double_fringes_suppressed_quick():
 
 
 def test_triple_has_fringes_quick():
-    avg = AveragingParams(0.68 * math.pi / (2 * ETA), 0.045, "triple")
+    avg = AveragingParams(0.68 * math.pi / (2 * ETA), 0.045)
     spec = sweep_refined("triple", TRANSMON, ETA, ghz(3.5), ghz(5.5),
                          ghz(0.002), ghz(0.001), avg)
     m = metrics(spec)

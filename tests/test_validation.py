@@ -3,7 +3,7 @@ and actually catch a corrupted closed form."""
 
 import pytest
 
-from ramseybias import McConfig, TransmonParams, pe_avg_double, run_validation
+from ramseybias import McConfig, TransmonParams, pe_average, run_validation
 from ramseybias.units import ghz
 
 TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)
@@ -47,7 +47,7 @@ def test_underpowered_sampling_still_passes():
 def test_corrupted_closed_form_is_caught():
     # negative control: bias the closed form by 0.02 and the sampled
     # comparison must fail
-    corrupted = lambda q_res, q_disp, avg: pe_avg_double(q_res, q_disp, avg) + 0.02
+    corrupted = lambda *args: pe_average(2, *args) + 0.02
     report = run_validation(TRANSMON, ETA, MC, mc_draws=3,
                             pe_double_fn=corrupted)
     by_name = {c.name: c for c in report.checks}
