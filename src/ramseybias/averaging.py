@@ -12,17 +12,17 @@ the Dawson integral D at b = beta*s. Both the closed form and direct
 adaptive quadrature are provided and must agree; the quadrature path is the
 oracle for the hand-derived expression.
 
-Closed-form ensemble averages are implemented for the two-segment train
-(exact) and for the three-segment train in the close-resonance limit; trains
-of any order are integrated numerically. A Monte Carlo oracle built on the
-numeric train composer cross-checks all of them.
+Trains of any order average exactly to a finite sum of such moments, with
+coefficients from one FFT of the train population per order. Closed forms
+cover the two-segment train (exact) and the three-segment one near
+resonance; a Monte Carlo oracle on the numeric composer checks them all.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -37,9 +37,8 @@ ArrayLike = Union[float, np.ndarray]
 # density below 1e-26 past here; truncation point of all x integrals
 X_CUTOFF = 8.0
 I_S_EPSABS = 1e-10
-PE_EPSABS = 1e-8
-# grid points per independent quad_vec integration
-PE_CHUNK = 256
+# FFT coefficients of the train population at or below this are roundoff
+FOLD_TOL = 1e-12
 
 # raw averages further outside [0, 1] than this indicate a broken formula
 RANGE_TOL = 1e-8
@@ -182,7 +181,7 @@ def _pe_triple_closed_formula(lam: ArrayLike, theta: ArrayLike,
 
 def _triple_population(x: float, lam: np.ndarray, theta: np.ndarray,
                        delta_d: np.ndarray, s: float, ratio_r: float) -> np.ndarray:
-    """|c_e|^2 of the three-segment train at duration tau = s*x."""
+    """|c_e|^2 of the three-segment train at tau = s*x (hand-derived oracle)."""
     tau = s * x
     lam_tau = lam * tau
     c = np.cos(lam_tau)
@@ -196,38 +195,47 @@ def _triple_population(x: float, lam: np.ndarray, theta: np.ndarray,
     return (st * sn * bracket) ** 2
 
 
+@lru_cache(maxsize=None)
+def _moment_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, l) pairs and, per pair and m = 0..2n, the cos(m theta), sin(m theta)
+    coefficients of the weight of 2 I_s((k lam + l R delta_d)/2) in the
+    averaged n-segment population. That population has degree 2n in
+    lam*tau and theta and 2(n-1) in delta_d*T, so one FFT on a (4n+1, 4n-3,
+    4n+1) torus is exact; evenness in the durations folds (k, l) with
+    (-k, -l), and reality folds +-m."""
+    shape = (4 * n + 1, 4 * n - 3, 4 * n + 1)
+    a, b, theta = np.meshgrid(*(2.0 * np.pi * np.arange(m) / m for m in shape),
+                              indexing="ij")
+    c = np.fft.fftn(train_excitation(n, a, theta, b)) / a.size
+    odd = np.max(np.abs(c - np.roll(np.flip(c, axis=(0, 1)), 1, axis=(0, 1)))) / 2
+    if odd > FOLD_TOL:
+        raise ArithmeticError(f"{n}-segment train population is not even in the "
+                              f"durations (odd part {odd:.2e}); no moment sum")
+    k, l = np.meshgrid(np.arange(2 * n + 1), np.arange(2 - 2 * n, 2 * n - 1),
+                       indexing="ij")
+    cm = c[k, l, :2 * n + 1]
+    fold = np.where((k == 0) & (l == 0), 1, 2)[..., None] * np.r_[1, [2] * 2 * n]
+    coef = np.stack([fold * cm.real, -fold * cm.imag], axis=-1)
+    coef[np.abs(coef) <= FOLD_TOL] = 0.0
+    keep = ((k > 0) | (l >= 0)) & coef.any(axis=(2, 3))
+    return k[keep], l[keep], coef[keep]
+
+
 def _pe_grid_numeric(n_res: int, lam: np.ndarray, theta: np.ndarray,
-                     delta_d: np.ndarray, s: float, ratio_r: float, *,
-                     threads: int = 1) -> np.ndarray:
-    """Duration-averaged train population on a frequency grid.
-
-    Integrates 2 x^3 e^{-x^2} |c_e(tau = s x)|^2 over [0, 8] by adaptive
-    vector quadrature, chunking the grid so each chunk is an independent
-    integration (deterministic for any thread count).
-    """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    delta_d = np.atleast_1d(np.asarray(delta_d, dtype=float))
-
-    def do_chunk(sl):
-        l, t, d = lam[sl], theta[sl], delta_d[sl]
-        if n_res == 3:
-            f = lambda x: 2.0 * x**3 * np.exp(-x * x) * _triple_population(
-                x, l, t, d, s, ratio_r)
-        else:
-            f = lambda x: 2.0 * x**3 * np.exp(-x * x) * train_excitation(
-                n_res, l * (s * x), t, d * (ratio_r * s * x))
-        val, _ = integrate.quad_vec(f, 0.0, X_CUTOFF, epsabs=PE_EPSABS,
-                                    epsrel=1e-10, norm="max")
-        return val
-
-    slices = [slice(i, i + PE_CHUNK) for i in range(0, len(lam), PE_CHUNK)]
-    if threads > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(do_chunk, slices))
-    else:
-        parts = [do_chunk(sl) for sl in slices]
-    return np.concatenate(parts)
+                     delta_d: np.ndarray, s: float, ratio_r: float) -> np.ndarray:
+    """Exact duration-averaged train population on a frequency grid: the
+    :func:`_moment_table` terms, added one at a time (memory linear in the
+    grid), with theta harmonics from the angle-addition recurrence."""
+    ct, st = np.cos(theta), np.sin(theta)
+    harmonics = [(np.ones_like(ct), np.zeros_like(ct))]
+    for _ in range(2 * n_res):
+        c, sn = harmonics[-1]
+        harmonics.append((c * ct - sn * st, sn * ct + c * st))
+    rdd = ratio_r * np.asarray(delta_d, dtype=float)
+    # elementwise only: a BLAS product rounds a point by its place in the grid
+    return sum(sum(a * c + b * sn for (a, b), (c, sn) in zip(row, harmonics))
+               * (2.0 * i_s((k * lam + l * rdd) / 2.0, s))
+               for k, l, row in zip(*_moment_table(n_res)))
 
 
 def pe_avg_triple_closed(q_res: RegimeQuantities, q_disp: RegimeQuantities,

@@ -88,19 +88,19 @@ def _averaging_for(cfg: RunConfig, scheme: str) -> AveragingParams | None:
     return AveragingParams(cfg.s, cfg.ratio_r)
 
 
-def _sweep_command(cfg: RunConfig, scheme: str, out_dir: str, threads: int,
-                   csv_name: str, report_name: str) -> int:
+def _sweep_command(cfg: RunConfig, scheme: str, out_dir: str, csv_name: str,
+                   report_name: str) -> int:
     avg = _averaging_for(cfg, scheme)
     spec = sweep_refined(scheme, cfg.transmon, cfg.eta, cfg.omega_min,
                          cfg.omega_max, cfg.coarse_step, cfg.refine_step, avg,
-                         cw_amplitude=cfg.cw_amplitude, threads=threads)
+                         cw_amplitude=cfg.cw_amplitude)
     spec, ghz_vals = _quantized_spectrum(spec)
 
     reference = None
     if cfg.baseline_shift and scheme != "cw":
         base = sweep_refined("cw", cfg.transmon, cfg.eta, cfg.omega_min,
                              cfg.omega_max, cfg.coarse_step, cfg.refine_step,
-                             cw_amplitude=cfg.cw_amplitude, threads=threads)
+                             cw_amplitude=cfg.cw_amplitude)
         reference, _ = _quantized_spectrum(base)
     m = metrics(spec, reference=reference)
 
@@ -114,17 +114,16 @@ def _sweep_command(cfg: RunConfig, scheme: str, out_dir: str, threads: int,
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    return _sweep_command(cfg, cfg.scheme, out_dir, threads,
-                          "spectrum.csv", "metrics.txt")
+def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
+    return _sweep_command(cfg, cfg.scheme, out_dir, "spectrum.csv", "metrics.txt")
 
 
-def cmd_baseline(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    return _sweep_command(cfg, "cw", out_dir, threads,
-                          "baseline.csv", "baseline_metrics.txt")
+def cmd_baseline(cfg: RunConfig, out_dir: str) -> int:
+    return _sweep_command(cfg, "cw", out_dir, "baseline.csv",
+                          "baseline_metrics.txt")
 
 
-def cmd_optimize(cfg: RunConfig, out_dir: str, threads: int) -> int:
+def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
     if cfg.r_values is None or (cfg.k_values is None and cfg.s_values is None):
         raise ConfigError(
             "[optimizer] k_values (or s_values_ns) and r_values are required")
@@ -150,8 +149,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, threads: int) -> int:
     try:
         result = optimize(space, cfg.transmon, cfg.eta, cfg.omega_min,
                           cfg.omega_max, cfg.coarse_step, cfg.refine_step,
-                          objective, cw_amplitude=cfg.cw_amplitude,
-                          threads=threads)
+                          objective, cw_amplitude=cfg.cw_amplitude)
     except InfeasibleError as exc:
         lines = ["status = infeasible", f"reason = {exc}"]
         pt = exc.best_peak_point
@@ -191,7 +189,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: str, threads: int) -> int:
     return 0
 
 
-def cmd_validate(cfg: RunConfig, out_dir: str, threads: int) -> int:
+def cmd_validate(cfg: RunConfig, out_dir: str) -> int:
     report = run_validation(cfg.transmon, cfg.eta,
                             McConfig(cfg.n_samples, cfg.seed),
                             s=cfg.s, ratio_r=cfg.ratio_r or 0.001)
@@ -233,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for grid evaluation")
+                       help="ignored; kept so existing scripts still run")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured sampling seed")
     return parser
@@ -250,15 +248,14 @@ def main(argv: list[str] | None = None) -> int:
             cfg.seed = args.seed
         out_dir = args.out if args.out is not None else cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
-        threads = max(1, args.threads)
         if args.command == "spectrum":
-            return cmd_spectrum(cfg, out_dir, threads)
+            return cmd_spectrum(cfg, out_dir)
         if args.command == "baseline":
-            return cmd_baseline(cfg, out_dir, threads)
+            return cmd_baseline(cfg, out_dir)
         if args.command == "optimize":
-            return cmd_optimize(cfg, out_dir, threads)
+            return cmd_optimize(cfg, out_dir)
         if args.command == "validate":
-            return cmd_validate(cfg, out_dir, threads)
+            return cmd_validate(cfg, out_dir)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

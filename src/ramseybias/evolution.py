@@ -191,8 +191,8 @@ def train_excitation(n_res: int, lam_tau: ArrayLike, theta: ArrayLike,
     """Excited-state population of an n_res train, phase-free recursion.
 
     The laboratory-frame probe phases cancel in |c_e|^2, so the population
-    depends only on lam*tau, theta and delta_d*T. Used as the vectorized
-    integrand for duration-averaged trains of arbitrary order.
+    depends only on lam*tau, theta and delta_d*T. Sampled on a torus, it
+    gives the moment table of the duration average of any order.
     """
     c = np.cos(lam_tau)
     s = np.sin(lam_tau)

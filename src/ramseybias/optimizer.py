@@ -95,7 +95,7 @@ def _dominates(a: SpectrumMetrics, b: SpectrumMetrics) -> bool:
 def optimize(space: SearchSpace, transmon: TransmonParams, eta: float,
              omega_min: float, omega_max: float, coarse_step: float,
              refine_step: float, objective: ObjectiveConfig = ObjectiveConfig(),
-             *, cw_amplitude: float = 0.5, threads: int = 1) -> OptimizationResult:
+             *, cw_amplitude: float = 0.5) -> OptimizationResult:
     """Exhaustively evaluate the (s, R) grid and pick the constrained best.
 
     Every grid point runs the two-stage sweep plus metrics against a shared
@@ -105,8 +105,7 @@ def optimize(space: SearchSpace, transmon: TransmonParams, eta: float,
     point is feasible, carrying the best-peak point for diagnosis.
     """
     cw_ref = sweep_refined("cw", transmon, eta, omega_min, omega_max,
-                           coarse_step, refine_step, cw_amplitude=cw_amplitude,
-                           threads=threads)
+                           coarse_step, refine_step, cw_amplitude=cw_amplitude)
 
     trace: list[EvalPoint] = []
     for s in space.s_grid:
@@ -115,7 +114,7 @@ def optimize(space: SearchSpace, transmon: TransmonParams, eta: float,
             try:
                 spec = sweep_refined(space.scheme, transmon, eta, omega_min,
                                      omega_max, coarse_step, refine_step, avg,
-                                     cw_amplitude=cw_amplitude, threads=threads)
+                                     cw_amplitude=cw_amplitude)
                 m = metrics(spec, reference=cw_ref)
             except MetricsError as exc:
                 trace.append(EvalPoint(s, r, None, False, str(exc)))

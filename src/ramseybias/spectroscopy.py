@@ -139,24 +139,22 @@ def parse_scheme(scheme: str) -> int | None:
 
 
 def pe_average(n_res: int, lam: ArrayLike, theta: ArrayLike,
-               delta_d: ArrayLike, avg: AveragingParams, *,
-               threads: int = 1) -> ArrayLike:
+               delta_d: ArrayLike, avg: AveragingParams) -> ArrayLike:
     """Duration-averaged excited population of an ``n_res``-segment train.
 
     Takes the resonant-bias quantities lam and theta and the dispersive
     phase rate delta_d, as scalars (returns a float) or as grids (returns an
-    array). The two-segment train uses the exact closed form; every other
-    order integrates the train population by vector quadrature, whose
-    result does not depend on ``threads``. Raw values are returned; values
-    outside [0, 1] beyond tolerance are warned about, never clamped here.
+    array). The two-segment train uses its exact closed form, every other
+    order the exact moment sum of ``_pe_grid_numeric``. Raw values are
+    returned; values outside [0, 1] beyond tolerance are warned about, never
+    clamped here.
     """
     if n_res < 1:
         raise ValueError(f"need at least one resonant segment, got {n_res}")
     if n_res == 2:
         raw = _pe_double_formula(lam, theta, delta_d, avg.s, avg.ratio_r)
     else:
-        raw = _pe_grid_numeric(n_res, lam, theta, delta_d, avg.s, avg.ratio_r,
-                               threads=threads)
+        raw = _pe_grid_numeric(n_res, lam, theta, delta_d, avg.s, avg.ratio_r)
     _check_range(raw, f"{n_res}-segment train average")
     return float(np.ravel(raw)[0]) if np.ndim(lam) == 0 else raw
 
@@ -179,16 +177,15 @@ def cw_baseline(transmon: TransmonParams, eta: float, omega_grid: np.ndarray,
 
 def sweep(scheme: str, transmon: TransmonParams, eta: float,
           omega_grid: np.ndarray, avg: AveragingParams | None = None, *,
-          cw_amplitude: float = CW_AMPLITUDE_DEFAULT,
-          threads: int = 1) -> Spectrum:
+          cw_amplitude: float = CW_AMPLITUDE_DEFAULT) -> Spectrum:
     """Averaged transition probability of one scheme over a frequency grid.
 
     ``scheme`` is "cw", "double", "triple" or "general:<n>"; its
     resonant-segment count alone picks the averaging (see
     :func:`pe_average`), so tags naming the same train give the same
-    spectrum. The detuning quantities of both bias points are recomputed at
-    every grid point. Schemes other than "cw" require ``avg``. Raw averages
-    are clipped to [0, 1] for the spectrum.
+    spectrum. Every grid point is computed on its own, so a sweep equals the
+    sweeps of its pieces. Schemes other than "cw" require ``avg``. Raw
+    averages are clipped to [0, 1] for the spectrum.
     """
     grid = np.asarray(omega_grid, dtype=float)
     if grid.size == 0:
@@ -201,7 +198,7 @@ def sweep(scheme: str, transmon: TransmonParams, eta: float,
     if avg is None:
         raise ValueError(f"scheme {scheme!r} requires averaging parameters")
     lam, theta, delta_d = _grid_quantities(transmon, eta, grid)
-    raw = pe_average(n_res, lam, theta, delta_d, avg, threads=threads)
+    raw = pe_average(n_res, lam, theta, delta_d, avg)
     p = np.clip(raw, 0.0, 1.0)
     snap = _snapshot(transmon, eta, scheme, grid, avg, cw_amplitude)
     return Spectrum(grid, p, scheme, snap)
@@ -300,8 +297,7 @@ def metrics(spec: Spectrum, reference: Spectrum | None = None) -> SpectrumMetric
 def sweep_refined(scheme: str, transmon: TransmonParams, eta: float,
                   omega_min: float, omega_max: float, coarse_step: float,
                   refine_step: float, avg: AveragingParams | None = None, *,
-                  cw_amplitude: float = CW_AMPLITUDE_DEFAULT,
-                  threads: int = 1) -> Spectrum:
+                  cw_amplitude: float = CW_AMPLITUDE_DEFAULT) -> Spectrum:
     """Two-stage sweep: coarse pass, then a fine pass around the peak.
 
     The coarse grid covers the full window; the fine grid spans the coarse
@@ -311,13 +307,13 @@ def sweep_refined(scheme: str, transmon: TransmonParams, eta: float,
     """
     coarse_grid = make_grid(omega_min, omega_max, coarse_step)
     coarse = sweep(scheme, transmon, eta, coarse_grid, avg,
-                   cw_amplitude=cw_amplitude, threads=threads)
+                   cw_amplitude=cw_amplitude)
     m = metrics(coarse)
     lo = max(omega_min, m.peak_omega - 2.0 * m.fwhm)
     hi = min(omega_max, m.peak_omega + 2.0 * m.fwhm)
     fine_grid = make_grid(lo, hi, refine_step)
     fine = sweep(scheme, transmon, eta, fine_grid, avg,
-                 cw_amplitude=cw_amplitude, threads=threads)
+                 cw_amplitude=cw_amplitude)
 
     w = np.concatenate([coarse.omega, fine.omega])
     p = np.concatenate([coarse.p_e, fine.p_e])

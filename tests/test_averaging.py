@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.optimize import minimize_scalar
 
 from ramseybias import (AveragingParams, DriveParams, McConfig, TransmonParams,
-                        ce_double, i_s, maxwell_pdf, mc_oracle, omega_eg,
-                        pe_average, pe_avg_triple_closed, regime_quantities,
-                        sample_maxwell, sweep)
+                        averaging, ce_double, i_s, make_grid, maxwell_pdf,
+                        mc_oracle, omega_eg, pe_average, pe_avg_triple_closed,
+                        regime_quantities, sample_maxwell, sweep)
+from ramseybias.averaging import X_CUTOFF, _moment_table, _pe_grid_numeric
+from ramseybias.evolution import train_excitation
+from ramseybias.spectroscopy import _grid_quantities
 from ramseybias.units import ghz
 
 TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)
@@ -27,6 +31,22 @@ def quantities(omega):
 
 def pe_avg(n_res, q_res, q_disp, avg):
     return pe_average(n_res, q_res.lam, q_res.theta, q_disp.delta_d, avg)
+
+
+def quadrature_average(n_res, lam, theta, delta_d, s, ratio_r):
+    """Oracle of the moment sum: adaptive quadrature of 2 x^3 e^{-x^2}
+    times the train population over [0, 8], converged to 1e-13. The n = 3
+    population is the hand-derived one, every other order the recursion."""
+    def population(x):
+        if n_res == 3:
+            return averaging._triple_population(x, lam, theta, delta_d, s, ratio_r)
+        return train_excitation(n_res, lam * (s * x), theta,
+                                delta_d * (ratio_r * s * x))
+    val, err = integrate.quad_vec(
+        lambda x: 2.0 * x**3 * np.exp(-x * x) * population(x), 0.0, X_CUTOFF,
+        epsabs=1e-13, epsrel=0.0, norm="max")
+    assert err <= 1e-13
+    return val
 
 
 # ---------------------------------------------------------------- density
@@ -139,6 +159,59 @@ def test_triple_constant_term_limit():
     _, q_res, q_disp = quantities(W_RES)
     avg = AveragingParams(1e-5, 0.001)
     assert pe_avg_triple_closed(q_res, q_disp, avg) == pytest.approx(0.375, abs=1e-4)
+
+
+# ------------------------------------------------------ exact moment sum
+
+def test_moment_table_is_cached_per_order_with_2n_squared_terms():
+    assert [len(_moment_table(n)[0]) for n in (1, 2, 3, 4)] == [2, 8, 18, 32]
+    assert _moment_table(3) is _moment_table(3)
+
+
+@pytest.mark.parametrize("n_res", [1, 2, 3, 4, 5, 6])
+def test_moment_sum_matches_quadrature_oracle(n_res):
+    grid = make_grid(W_RES - ghz(1.0), W_RES + ghz(1.0), ghz(0.01))
+    lam, theta, delta_d = _grid_quantities(TRANSMON, ETA, grid)
+    s = 0.68 * math.pi / (2 * ETA)
+    exact = _pe_grid_numeric(n_res, lam, theta, delta_d, s, 0.045)
+    oracle = quadrature_average(n_res, lam, theta, delta_d, s, 0.045)
+    assert np.max(np.abs(exact - oracle)) <= 1e-12
+
+
+def test_single_segment_sum_is_the_averaged_rabi_line():
+    grid = make_grid(W_RES - ghz(1.0), W_RES + ghz(1.0), ghz(0.01))
+    lam, theta, delta_d = _grid_quantities(TRANSMON, ETA, grid)
+    s = 1.7e-9
+    rabi = np.sin(theta) ** 2 * (1.0 - 2.0 * i_s(lam, s)) / 2.0
+    exact = _pe_grid_numeric(1, lam, theta, delta_d, s, 0.045)
+    assert np.max(np.abs(exact - rabi)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n_res=st.integers(1, 6), s_ns=st.floats(0.3, 3.0),
+       ratio_r=st.floats(0.0, 0.1), offset_ghz=st.floats(-1.0, 1.0))
+def test_moment_sum_is_a_probability_and_matches_quadrature(n_res, s_ns,
+                                                             ratio_r, offset_ghz):
+    # the probe offset spans the mixing angle over [0.197, 2.944] rad
+    grid = np.array([W_RES + ghz(offset_ghz)])
+    lam, theta, delta_d = _grid_quantities(TRANSMON, ETA, grid)
+    s = s_ns * 1e-9
+    exact = _pe_grid_numeric(n_res, lam, theta, delta_d, s, ratio_r)
+    assert -1e-12 <= exact[0] <= 1.0 + 1e-12
+    oracle = quadrature_average(n_res, lam, theta, delta_d, s, ratio_r)
+    assert abs(exact[0] - oracle[0]) <= 1e-12
+
+
+def test_moment_table_rejects_a_population_odd_in_the_durations(monkeypatch):
+    # the cosine fold needs a population even in (lam tau, delta_d T)
+    monkeypatch.setattr(averaging, "train_excitation",
+                        lambda n, a, theta, b: np.sin(a) ** 2 * (1 + np.sin(b) / 4))
+    _moment_table.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="not even"):
+            _moment_table(3)
+    finally:
+        _moment_table.cache_clear()
 
 
 def test_triple_closed_equals_numeric_on_resonance():

@@ -10,7 +10,7 @@ from ramseybias import (AveragingParams, DomainError, DriveParams,
                         NoCrossingError, NoPeakError, Spectrum, TransmonParams,
                         cw_baseline, make_grid, metrics, omega_eg,
                         pe_average, regime_quantities, sweep, sweep_refined)
-from ramseybias.averaging import PE_CHUNK, _pe_double_formula, _pe_grid_numeric
+from ramseybias.averaging import _pe_double_formula, _pe_grid_numeric
 from ramseybias.spectroscopy import _grid_quantities, parse_scheme
 from ramseybias.units import ghz, to_ghz, to_mhz
 
@@ -197,12 +197,12 @@ def test_grid_quantities_match_pointwise_route():
 
 
 def test_numeric_two_segment_average_matches_closed_double():
-    # the numeric general-order path against the exact closed-form average
+    # the general-order moment sum against the exact closed-form average
     grid = make_grid(W_RES - ghz(0.5), W_RES + ghz(0.5), ghz(0.05))
     lam, theta, delta_d = _grid_quantities(TRANSMON, ETA, grid)
     closed = _pe_double_formula(lam, theta, delta_d, S3, 0.001)
     numeric = _pe_grid_numeric(2, lam, theta, delta_d, S3, 0.001)
-    assert np.max(np.abs(closed - numeric)) < 1e-7
+    assert np.max(np.abs(closed - numeric)) < 1e-12
 
 
 def test_tags_naming_the_same_train_give_identical_spectra():
@@ -244,14 +244,18 @@ def test_sweep_refined_merges_monotonically():
     assert spec.params_snapshot["refine_step_ghz"] == pytest.approx(0.0005)
 
 
-def test_threaded_sweep_is_deterministic():
-    # more than two quadrature chunks, so the pool really splits the grid
+def test_triple_sweep_equals_the_sweeps_of_its_halves():
+    # every grid point is averaged on its own, so splitting a grid changes
+    # no value, not even in the last bit; an odd split point also shifts
+    # each point's place relative to any vectorized block
     grid = make_grid(W_RES - ghz(0.3), W_RES + ghz(0.3), ghz(0.001))
-    assert grid.size > 2 * PE_CHUNK
     avg = AveragingParams(0.68 * math.pi / (2 * ETA), 0.045)
-    serial = sweep("triple", TRANSMON, ETA, grid, avg, threads=1)
-    threaded = sweep("triple", TRANSMON, ETA, grid, avg, threads=4)
-    assert np.array_equal(serial.p_e, threaded.p_e)
+    whole = sweep("triple", TRANSMON, ETA, grid, avg)
+    mid = (grid.size + 1) // 2
+    halves = [sweep("triple", TRANSMON, ETA, part, avg).p_e
+              for part in (grid[:mid], grid[mid:])]
+    assert grid.size == 601
+    assert np.array_equal(whole.p_e, np.concatenate(halves))
 
 
 # ------------------------------------------------------ fringe behavior
