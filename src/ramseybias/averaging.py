@@ -197,12 +197,12 @@ def _triple_population(x: float, lam: np.ndarray, theta: np.ndarray,
 
 @lru_cache(maxsize=None)
 def _moment_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(k, l) pairs and, per pair and m = 0..2n, the cos(m theta), sin(m theta)
+    """(k, l) pairs and, per pair and m = 0..2n, the cos(m theta)
     coefficients of the weight of 2 I_s((k lam + l R delta_d)/2) in the
     averaged n-segment population. That population has degree 2n in
     lam*tau and theta and 2(n-1) in delta_d*T, so one FFT on a (4n+1, 4n-3,
     4n+1) torus is exact; evenness in the durations folds (k, l) with
-    (-k, -l), and reality folds +-m."""
+    (-k, -l), and evenness in theta folds +-m onto cosines alone."""
     shape = (4 * n + 1, 4 * n - 3, 4 * n + 1)
     a, b, theta = np.meshgrid(*(2.0 * np.pi * np.arange(m) / m for m in shape),
                               indexing="ij")
@@ -213,11 +213,15 @@ def _moment_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                               f"durations (odd part {odd:.2e}); no moment sum")
     k, l = np.meshgrid(np.arange(2 * n + 1), np.arange(2 - 2 * n, 2 * n - 1),
                        indexing="ij")
-    cm = c[k, l, :2 * n + 1]
     fold = np.where((k == 0) & (l == 0), 1, 2)[..., None] * np.r_[1, [2] * 2 * n]
-    coef = np.stack([fold * cm.real, -fold * cm.imag], axis=-1)
+    cm = c[k, l, :2 * n + 1]
+    odd = np.max(np.abs(fold * cm.imag))
+    if odd > FOLD_TOL:
+        raise ArithmeticError(f"{n}-segment train population is not even in "
+                              f"theta (sine part {odd:.2e}); no cosine sum")
+    coef = fold * cm.real
     coef[np.abs(coef) <= FOLD_TOL] = 0.0
-    keep = ((k > 0) | (l >= 0)) & coef.any(axis=(2, 3))
+    keep = ((k > 0) | (l >= 0)) & coef.any(axis=2)
     return k[keep], l[keep], coef[keep]
 
 
@@ -225,15 +229,16 @@ def _pe_grid_numeric(n_res: int, lam: np.ndarray, theta: np.ndarray,
                      delta_d: np.ndarray, s: float, ratio_r: float) -> np.ndarray:
     """Exact duration-averaged train population on a frequency grid: the
     :func:`_moment_table` terms, added one at a time (memory linear in the
-    grid), with theta harmonics from the angle-addition recurrence."""
+    grid), with cos(m theta) from the angle-addition recurrence."""
     ct, st = np.cos(theta), np.sin(theta)
-    harmonics = [(np.ones_like(ct), np.zeros_like(ct))]
+    c, sn = np.ones_like(ct), np.zeros_like(ct)
+    cosines = [c]
     for _ in range(2 * n_res):
-        c, sn = harmonics[-1]
-        harmonics.append((c * ct - sn * st, sn * ct + c * st))
+        c, sn = c * ct - sn * st, sn * ct + c * st
+        cosines.append(c)
     rdd = ratio_r * np.asarray(delta_d, dtype=float)
     # elementwise only: a BLAS product rounds a point by its place in the grid
-    return sum(sum(a * c + b * sn for (a, b), (c, sn) in zip(row, harmonics))
+    return sum(sum(a * cos_m for a, cos_m in zip(row, cosines))
                * (2.0 * i_s((k * lam + l * rdd) / 2.0, s))
                for k, l, row in zip(*_moment_table(n_res)))
 

@@ -9,13 +9,13 @@ headline double-resonance operating point.
 from __future__ import annotations
 
 import configparser
-import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
+from .optimizer import seed_points
 from .qubit import TransmonParams
 from .spectroscopy import parse_scheme
 from .units import RAD_PER_GHZ, RAD_PER_MHZ, ns
@@ -140,10 +140,7 @@ def parse_time_constant(text: str, eta: float) -> float:
     """Time constant in seconds from a ns number or a 0.68pi/<k>eta rule."""
     rule = _S_RULE.match(text)
     if rule:
-        k = float(rule.group(1))
-        if k <= 0:
-            raise ValueError(f"harmonic multiple must be positive, got {k}")
-        return 0.68 * math.pi / (k * eta)
+        return seed_points(eta, [float(rule.group(1))])[0]
     return ns(float(text))
 
 
@@ -211,6 +208,8 @@ def load_config(path: str) -> RunConfig:
     sweep_sec = _Section(parser, "sweep")
     omega_min = sweep_sec.number("min_ghz") * RAD_PER_GHZ
     omega_max = sweep_sec.number("max_ghz") * RAD_PER_GHZ
+    if not omega_min > 0:
+        _fail("sweep", "min_ghz", "probe frequencies must be positive")
     if not omega_max > omega_min:
         _fail("sweep", "max_ghz", "empty grid: max_ghz must exceed min_ghz")
     coarse_step = sweep_sec.number("step_mhz", 1.0) * RAD_PER_MHZ

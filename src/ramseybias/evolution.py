@@ -7,9 +7,10 @@ frame, so the running start time ``t0`` of each segment enters the
 cross-coupling phases and must be threaded through compositions.
 
 Closed forms for the separated-field amplitudes after two and three
-resonant segments are provided alongside a general numeric composer; the
-composer exists as an independent cross-check and as the evaluation path
-for trains of any order.
+resonant segments are provided alongside a general numeric composer for
+trains of any order. The composer is the independent cross-check: it runs
+under the Monte Carlo oracle, while spectra are evaluated by the exact
+moment sum of ``averaging``.
 
 All functions broadcast over NumPy arrays in ``tau``/``t0``/amplitudes, so
 a Monte Carlo ensemble of durations evaluates in one call.

@@ -5,7 +5,8 @@ The flux-tunable transmon is reduced to two levels whose splitting follows
 sweet spot. From the splitting and the probe parameters this module derives
 the detuning, the dressed precession rate, the mixing angle of the
 rotating-frame diagonalization, and the far-detuned phase-accumulation rate
-used by the dispersive bias segments.
+used by the dispersive bias segments; :func:`regime_quantities` is the one
+function that does so, for a single probe frequency and a sweep grid alike.
 
 All quantities are pure functions of immutable parameter records and are
 safe to evaluate concurrently.
@@ -17,8 +18,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .units import RAD_PER_GHZ
+from .units import RAD_PER_GHZ, to_ghz
 
 # Far-detuning margin: |omega_eg' - omega| below this many eta means the
 # pure-phase treatment of the dispersive bias is getting unreliable.
@@ -73,16 +76,18 @@ class TransmonParams:
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Probe coupling strength and probe frequency, both angular (rad/s)."""
+    """Probe coupling strength and probe frequency (or grid), angular (rad/s)."""
 
     eta: float
-    omega: float
+    omega: float | np.ndarray
 
     def __post_init__(self):
         if not self.eta > 0:
             raise DomainError(f"coupling strength must be positive, got {self.eta}")
-        if not self.omega > 0:
-            raise DomainError(f"probe frequency must be positive, got {self.omega}")
+        omega = np.ravel(self.omega)
+        bad = omega[~(omega > 0)]
+        if bad.size:
+            raise DomainError(f"probe frequency must be positive, got {bad[0]}")
 
     @classmethod
     def from_ghz(cls, eta_ghz: float, omega_ghz: float) -> "DriveParams":
@@ -91,7 +96,7 @@ class DriveParams:
 
 @dataclass(frozen=True)
 class RegimeQuantities:
-    """Derived quantities of one bias regime at a given probe frequency.
+    """Derived quantities of one bias regime, shaped like the probe frequency.
 
     ``delta`` is half the qubit-probe frequency difference, ``lam`` the
     dressed precession rate sqrt(delta^2 + eta^2) and ``theta`` the mixing
@@ -100,10 +105,10 @@ class RegimeQuantities:
     """
 
     regime: str
-    delta: float
-    lam: float
-    theta: float
-    delta_d: float | None = None
+    delta: float | np.ndarray
+    lam: float | np.ndarray
+    theta: float | np.ndarray
+    delta_d: float | np.ndarray | None = None
 
 
 def omega_eg(params: TransmonParams, phi: float) -> float:
@@ -130,43 +135,51 @@ def regime_quantities(params: TransmonParams, drive: DriveParams, phi: float,
                       regime: str) -> RegimeQuantities:
     """Detuning, precession rate and mixing angle at one bias point.
 
-    For ``regime="resonant"`` the returned record carries ``delta``,
-    ``lam`` and ``theta`` evaluated at ``phi``. For ``regime="dispersive"``
-    it additionally carries ``delta_d``, the phase-accumulation rate
+    Broadcasts over ``drive.omega`` (a scalar or a grid). For
+    ``regime="resonant"`` the returned record carries ``delta``, ``lam`` and
+    ``theta`` evaluated at ``phi``. For ``regime="dispersive"`` it
+    additionally carries ``delta_d``, the phase-accumulation rate
     ``(omega_eg' - omega)/2 + eta^2/(omega_eg' - omega)``.
 
     Raises
     ------
     DomainError
-        If the splitting at ``phi`` is invalid, or the probe is exactly
-        resonant with the dispersive-bias splitting (the rate diverges).
+        If the splitting at ``phi`` is invalid, or a probe frequency is
+        exactly resonant with the dispersive-bias splitting (the rate
+        diverges); the first such frequency is named.
 
     Warns
     -----
     UserWarning
         When ``|omega_eg' - omega| < 10 eta`` in the dispersive regime,
-        where treating the segment as pure phase accumulation degrades.
+        where treating the segment as pure phase accumulation degrades; the
+        message counts the probe frequencies affected.
     """
     if regime not in ("resonant", "dispersive"):
         raise ValueError(f"unknown regime {regime!r}")
     w_eg = omega_eg(params, phi)
+    eta = drive.eta
     delta = (w_eg - drive.omega) / 2.0
-    lam = math.hypot(delta, drive.eta)
-    theta = math.atan2(drive.eta, delta)
+    lam = np.hypot(delta, eta)
+    theta = np.arctan2(eta, delta)
     if regime == "resonant":
         return RegimeQuantities("resonant", delta, lam, theta)
 
     detune = w_eg - drive.omega
-    if detune == 0.0:
+    hit = np.flatnonzero(detune == 0.0)
+    if hit.size:
         raise DomainError(
-            "probe exactly resonant with the dispersive-bias splitting; "
+            "probe exactly resonant with the dispersive-bias splitting at "
+            f"omega/2pi = {to_ghz(np.ravel(drive.omega)[hit[0]]):.9g} GHz; "
             "the dispersive rate diverges"
         )
-    if abs(detune) < DISPERSIVE_MARGIN * drive.eta:
+    close = int(np.count_nonzero(np.abs(detune) < DISPERSIVE_MARGIN * eta))
+    if close:
         warnings.warn(
-            f"dispersive bias only {abs(detune) / drive.eta:.2f} eta from the "
-            f"probe; the far-detuning approximation assumes |detuning| >> eta",
+            f"{close} of {np.size(detune)} probe frequencies within "
+            f"{DISPERSIVE_MARGIN:g} eta of the dispersive-bias splitting; the "
+            "far-detuning approximation assumes |detuning| >> eta",
             stacklevel=2,
         )
-    delta_d = detune / 2.0 + drive.eta**2 / detune
+    delta_d = detune / 2.0 + eta**2 / detune
     return RegimeQuantities("dispersive", delta, lam, theta, delta_d)

@@ -13,15 +13,14 @@ and dispersive shifts.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .averaging import (AveragingParams, ArrayLike, _check_range,
                         _pe_double_formula, _pe_grid_numeric)
-from .errors import DomainError, NoCrossingError, NoPeakError
-from .qubit import DISPERSIVE_MARGIN, TransmonParams, omega_eg
+from .errors import NoCrossingError, NoPeakError
+from .qubit import DriveParams, TransmonParams, regime_quantities
 from .units import to_ghz, to_ns
 
 CW_AMPLITUDE_DEFAULT = 0.5
@@ -74,32 +73,11 @@ class SpectrumMetrics:
 
 def _grid_quantities(transmon: TransmonParams, eta: float,
                      grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-point detuning quantities of both bias regimes over a grid.
-
-    Vectorized equivalent of calling ``regime_quantities`` at every grid
-    point; domain errors are annotated with the offending frequency.
-    """
-    w_res = omega_eg(transmon, transmon.phi_res)
-    w_disp = omega_eg(transmon, transmon.phi_disp)
-    delta = (w_res - grid) / 2.0
-    lam = np.hypot(delta, eta)
-    theta = np.arctan2(eta, delta)
-    detune = w_disp - grid
-    hit = np.nonzero(detune == 0.0)[0]
-    if hit.size:
-        raise DomainError(
-            "probe exactly resonant with the dispersive-bias splitting at "
-            f"grid point omega/2pi = {to_ghz(grid[hit[0]]):.9g} GHz"
-        )
-    close = int(np.count_nonzero(np.abs(detune) < DISPERSIVE_MARGIN * eta))
-    if close:
-        warnings.warn(
-            f"{close} grid points are within 10 eta of the dispersive-bias "
-            "splitting; the pure-phase dispersive treatment degrades there",
-            stacklevel=3,
-        )
-    delta_d = detune / 2.0 + eta**2 / detune
-    return lam, theta, delta_d
+    """Resonant-bias lam and theta and dispersive-bias delta_d over a grid."""
+    drive = DriveParams(eta, grid)
+    q_res = regime_quantities(transmon, drive, transmon.phi_res, "resonant")
+    q_disp = regime_quantities(transmon, drive, transmon.phi_disp, "dispersive")
+    return q_res.lam, q_res.theta, q_disp.delta_d
 
 
 def _snapshot(transmon, eta, scheme, grid, avg, cw_amplitude) -> dict:
@@ -168,8 +146,8 @@ def cw_baseline(transmon: TransmonParams, eta: float, omega_grid: np.ndarray,
     metrics do not depend on it.
     """
     grid = np.asarray(omega_grid, dtype=float)
-    w_res = omega_eg(transmon, transmon.phi_res)
-    delta = (w_res - grid) / 2.0
+    delta = regime_quantities(transmon, DriveParams(eta, grid), transmon.phi_res,
+                              "resonant").delta
     p = amplitude * eta**2 / (delta * delta + eta**2)
     snap = _snapshot(transmon, eta, "cw", grid, None, amplitude)
     return Spectrum(grid, p, "cw", snap)

@@ -19,6 +19,7 @@ from .averaging import (AveragingParams, McConfig, i_s, mc_oracle,
                         pe_avg_triple_closed)
 from .evolution import (BiasTrain, GROUND, ce_double, ce_triple, compose_train,
                         dispersive_phase, propagate_segment)
+from .optimizer import seed_points
 from .qubit import DriveParams, TransmonParams, omega_eg, regime_quantities
 from .spectroscopy import _grid_quantities, make_grid, pe_average
 from .units import to_ghz
@@ -83,7 +84,7 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
     """
     rng = np.random.default_rng(mc.rng_seed)
     if s is None:
-        s = 0.68 * np.pi / (3.0 * eta)
+        s = seed_points(eta, [3.0])[0]
     w_res = omega_eg(transmon, transmon.phi_res)
     checks: list[CheckResult] = []
 
@@ -156,7 +157,7 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
 
     # close-resonance closed form vs the numeric average, on resonance
     drive, q_res, q_disp = _quantities(transmon, eta, w_res)
-    avg3 = AveragingParams(0.68 * np.pi / (2.0 * eta), 0.045)
+    avg3 = AveragingParams(seed_points(eta, [2.0])[0], 0.045)
     dev = abs(pe_avg_triple_closed(q_res, q_disp, avg3)
               - pe_average(3, q_res.lam, q_res.theta, q_disp.delta_d, avg3))
     checks.append(CheckResult("triple_closed_vs_numeric_resonant",

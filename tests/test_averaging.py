@@ -214,6 +214,18 @@ def test_moment_table_rejects_a_population_odd_in_the_durations(monkeypatch):
         _moment_table.cache_clear()
 
 
+def test_moment_table_rejects_a_population_odd_in_theta(monkeypatch):
+    # the cosine-only table needs a population even in the mixing angle
+    monkeypatch.setattr(averaging, "train_excitation",
+                        lambda n, a, theta, b: np.sin(a) ** 2 * (1 + np.sin(theta) / 4))
+    _moment_table.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="not even in theta"):
+            _moment_table(3)
+    finally:
+        _moment_table.cache_clear()
+
+
 def test_triple_closed_equals_numeric_on_resonance():
     _, q_res, q_disp = quantities(W_RES)
     avg = AveragingParams(0.68 * math.pi / (2 * ETA), 0.045)

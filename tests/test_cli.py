@@ -47,10 +47,11 @@ def write_cfg(tmp_path, text=FAST_CFG, name="run.cfg"):
 
 def read_report(path):
     out = {}
-    for line in open(path, encoding="utf-8"):
-        if "=" in line and not line.startswith("#"):
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            if "=" in line and not line.startswith("#"):
+                key, _, value = line.partition("=")
+                out[key.strip()] = value.strip()
     return out
 
 

@@ -102,6 +102,13 @@ def test_empty_window(tmp_path):
         load_config(write_cfg(tmp_path, text))
 
 
+def test_non_positive_window_minimum(tmp_path):
+    for value in ("0.0", "-0.5"):
+        text = MINIMAL.replace("min_ghz = 4.0", f"min_ghz = {value}")
+        with pytest.raises(ConfigError, match=r"\[sweep\] min_ghz"):
+            load_config(write_cfg(tmp_path, text))
+
+
 def test_invalid_flux_is_domain_error(tmp_path):
     # physics problem, not a parse problem: different exit-code class
     text = MINIMAL.replace("phi_disp = 0.49", "phi_disp = 0.5")

@@ -1,6 +1,7 @@
 """Level structure, detuning quantities and their identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ def test_dispersive_rate_fixture(transmon):
 def test_dispersive_exact_resonance_raises(transmon):
     w_d = omega_eg(transmon, transmon.phi_disp)
     drive = DriveParams(ghz(0.1), w_d)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=re.escape(f"{to_ghz(w_d):.9g} GHz")):
         regime_quantities(transmon, drive, transmon.phi_disp, "dispersive")
 
 
@@ -127,6 +128,10 @@ def test_dispersive_margin_warns(transmon):
     drive = DriveParams(ghz(0.1), w_d + ghz(0.5))  # only 5 eta away
     with pytest.warns(UserWarning, match="far-detuning"):
         regime_quantities(transmon, drive, transmon.phi_disp, "dispersive")
+    # a grid gets the same warning, counting the points within the margin
+    grid = DriveParams(ghz(0.1), w_d + ghz(np.array([0.5, 0.8, 2.0])))
+    with pytest.warns(UserWarning, match="^2 of 3 probe frequencies .*far-detuning"):
+        regime_quantities(transmon, grid, transmon.phi_disp, "dispersive")
 
 
 def test_unknown_regime_rejected(transmon):

@@ -183,6 +183,7 @@ def test_sweep_warns_close_to_dispersive_splitting():
 
 
 def test_grid_quantities_match_pointwise_route():
+    # one function serves both routes, so they agree bit for bit
     rng = np.random.default_rng(42)
     grid = np.sort(rng.uniform(0.8, 1.2, size=30)) * W_RES
     lam, theta, delta_d = _grid_quantities(TRANSMON, ETA, grid)
@@ -191,9 +192,18 @@ def test_grid_quantities_match_pointwise_route():
         q_res = regime_quantities(TRANSMON, drive, TRANSMON.phi_res, "resonant")
         q_disp = regime_quantities(TRANSMON, drive, TRANSMON.phi_disp,
                                    "dispersive")
-        assert lam[i] == pytest.approx(q_res.lam, rel=1e-14)
-        assert theta[i] == pytest.approx(q_res.theta, rel=1e-14)
-        assert delta_d[i] == pytest.approx(q_disp.delta_d, rel=1e-14)
+        assert lam[i] == q_res.lam
+        assert theta[i] == q_res.theta
+        assert delta_d[i] == q_disp.delta_d
+
+
+def test_grid_drive_rejects_non_positive_frequencies():
+    for bad in (0.0, -W_RES, np.nan):
+        grid = np.array([W_RES - ghz(0.1), bad, W_RES + ghz(0.1)])
+        with pytest.raises(DomainError, match="probe frequency must be positive"):
+            DriveParams(ETA, grid)
+        with pytest.raises(DomainError, match="probe frequency must be positive"):
+            _grid_quantities(TRANSMON, ETA, grid)
 
 
 def test_numeric_two_segment_average_matches_closed_double():
