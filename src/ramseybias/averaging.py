@@ -42,6 +42,8 @@ FOLD_TOL = 1e-12
 
 # raw averages further outside [0, 1] than this indicate a broken formula
 RANGE_TOL = 1e-8
+# Monte Carlo samples composed per slice; bounds the oracle's temporaries
+MC_CHUNK = 2**17
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,8 @@ class McConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError(f"need at least one sample, got {self.n_samples}")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.rng_seed}")
 
 
 def maxwell_pdf(x: ArrayLike) -> ArrayLike:
@@ -264,12 +268,22 @@ def mc_oracle(n_res: int, q_res: RegimeQuantities, q_disp: RegimeQuantities,
     numeric train composer, so the estimate is independent of every closed
     form it validates. The (seed, n_samples) pair maps to the result
     deterministically.
+
+    All durations are drawn in one call, then composed in slices of
+    ``MC_CHUNK`` samples into one population array whose mean and standard
+    error are taken whole; the composer treats each sample on its own, so
+    the slicing changes no bit. Its complex temporaries are bounded by the
+    slice (about 2 MiB each); only the durations and the populations, 8
+    bytes per sample each, grow with ``n_samples``.
     """
     if n_res < 1:
         raise ValueError(f"need at least one resonant segment, got {n_res}")
-    x = sample_maxwell(np.random.default_rng(mc.rng_seed), mc.n_samples)
-    train = BiasTrain(n_res, avg.s * x, avg.ratio_r)
-    pe = compose_train(q_res, q_disp, drive, train).p_e()
+    tau = avg.s * sample_maxwell(np.random.default_rng(mc.rng_seed), mc.n_samples)
+    pe = np.empty(mc.n_samples)
+    for start in range(0, mc.n_samples, MC_CHUNK):
+        piece = slice(start, start + MC_CHUNK)
+        train = BiasTrain(n_res, tau[piece], avg.ratio_r)
+        pe[piece] = compose_train(q_res, q_disp, drive, train).p_e()
     mean = float(pe.mean())
     if mc.n_samples == 1:
         return mean, 0.0

@@ -245,6 +245,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
             cfg.seed = args.seed
         out_dir = args.out if args.out is not None else cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)

@@ -269,6 +269,8 @@ def load_config(path: str) -> RunConfig:
         if n_samples < 1:
             _fail("mc", "n_samples", "must be at least 1")
         seed = mc_sec.integer("seed", seed)
+        if seed < 0:
+            _fail("mc", "seed", "must be non-negative")
 
     out_dir = "."
     if parser.has_section("output"):

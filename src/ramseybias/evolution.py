@@ -12,8 +12,10 @@ trains of any order. The composer is the independent cross-check: it runs
 under the Monte Carlo oracle, while spectra are evaluated by the exact
 moment sum of ``averaging``.
 
-All functions broadcast over NumPy arrays in ``tau``/``t0``/amplitudes, so
-a Monte Carlo ensemble of durations evaluates in one call.
+All functions broadcast over NumPy arrays in ``tau``/``t0``/amplitudes.
+The composer evaluates a Monte Carlo ensemble of durations as whole-array
+products: the trigonometric factors of a sample are computed once, and each
+later segment costs a few complex multiplications per sample.
 """
 
 from __future__ import annotations
@@ -165,26 +167,43 @@ def ce_triple(q_res: RegimeQuantities, q_disp: RegimeQuantities,
 
 def compose_train(q_res: RegimeQuantities, q_disp: RegimeQuantities,
                   drive: DriveParams, train: BiasTrain) -> QubitAmplitudes:
-    """Numerically fold the segment updates over a full bias train.
+    """Fold the laboratory-frame segment updates over a full bias train.
 
-    Starts from the ground state at t0 = 0 and threads the accumulated
-    laboratory time through every resonant segment so the cross-coupling
-    phases compound correctly. For n_res = 1, 2, 3 the excited amplitude
+    Starts from the ground state at t0 = 0. Every resonant segment of a
+    sample has the same tau, so its factors are computed once per sample::
+
+        a = (cos(lam tau) - i cos(theta) sin(lam tau)) e^{-i omega tau/2}
+        b = -i sin(theta) sin(lam tau) e^{-i omega tau/2}
+
+    together with the dispersive phasor e^{-i (delta_d + omega/2) T} and the
+    per-period advance e^{-i omega (tau + T)}. A resonant segment is then
+    c_e' = a c_e + b c_g, c_g' = conj(a) c_g - conj(b) c_e, where b carries
+    the cross-coupling phase e^{-i omega t0}: it is multiplied by the advance
+    before each later segment, so the laboratory start time is threaded
+    through by multiplication. For n_res = 1, 2, 3 the excited amplitude
     reproduces :func:`resonant_amplitudes`, :func:`ce_double` and
     :func:`ce_triple`.
     """
-    tau = np.asarray(train.tau, dtype=float)
-    t_disp = train.t_disp
-    state = QubitAmplitudes(np.zeros_like(tau, dtype=complex),
-                            np.ones_like(tau, dtype=complex))
-    t0 = np.zeros_like(tau)
-    for k in range(train.n_res):
-        if k > 0:
-            state = dispersive_phase(state, q_disp.delta_d, drive.omega, t_disp)
-            t0 = t0 + t_disp
-        state = propagate_segment(state, q_res, drive, tau, t0)
-        t0 = t0 + tau
-    return state
+    shape = np.shape(train.tau)
+    # numpy's scalar loops round differently: compute a scalar as one sample
+    tau = np.atleast_1d(np.asarray(train.tau, dtype=float))
+    lam_tau = q_res.lam * tau
+    sn = np.sin(lam_tau)
+    half = np.exp(-0.5j * drive.omega * tau)
+    a = (np.cos(lam_tau) - 1j * np.cos(q_res.theta) * sn) * half
+    b = -1j * np.sin(q_res.theta) * sn * half
+    a_bar = np.conj(a)
+    t_disp = train.ratio_r * tau
+    gap = np.exp(-1j * (q_disp.delta_d + drive.omega / 2.0) * t_disp)
+    gap_bar = np.conj(gap)
+    advance = np.exp(-1j * drive.omega * (tau + t_disp))
+    c_e, c_g = b, a_bar
+    for _ in range(train.n_res - 1):
+        c_e = c_e * gap
+        c_g = c_g * gap_bar
+        b = b * advance
+        c_e, c_g = a * c_e + b * c_g, a_bar * c_g - np.conj(b) * c_e
+    return QubitAmplitudes(c_e.reshape(shape), c_g.reshape(shape))
 
 
 def train_excitation(n_res: int, lam_tau: ArrayLike, theta: ArrayLike,

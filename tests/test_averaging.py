@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.optimize import minimize_scalar
 
-from ramseybias import (AveragingParams, DriveParams, McConfig, TransmonParams,
-                        averaging, ce_double, i_s, make_grid, maxwell_pdf,
-                        mc_oracle, omega_eg, pe_average, pe_avg_triple_closed,
-                        regime_quantities, sample_maxwell, sweep)
+from ramseybias import (AveragingParams, BiasTrain, DriveParams, McConfig,
+                        TransmonParams, averaging, ce_double, compose_train,
+                        i_s, make_grid, maxwell_pdf, mc_oracle, omega_eg,
+                        pe_average, pe_avg_triple_closed, regime_quantities,
+                        sample_maxwell, sweep)
 from ramseybias.averaging import X_CUTOFF, _moment_table, _pe_grid_numeric
 from ramseybias.evolution import train_excitation
 from ramseybias.spectroscopy import _grid_quantities
@@ -143,6 +144,8 @@ def test_averaging_params_validation():
         AveragingParams(1e-9, -0.1)
     with pytest.raises(ValueError):
         McConfig(0, 1)
+    with pytest.raises(ValueError, match="seed"):
+        McConfig(10, -1)
 
 
 # ------------------------------------------------------- closed averages
@@ -320,6 +323,18 @@ def test_mc_single_sample_convention():
     single = abs(complex(ce_double(q_res, q_disp, drive, tau,
                                    avg.ratio_r * tau))) ** 2
     assert mean == pytest.approx(single, abs=1e-12)
+
+
+def test_mc_chunking_changes_no_bits():
+    # about 2.5 slices, the last one partial
+    drive, q_res, q_disp = quantities(W_RES + 0.7 * ETA)
+    avg = AveragingParams(1.1e-9, 0.02)
+    n = 5 * averaging.MC_CHUNK // 2 + 17
+    mean, err = mc_oracle(3, q_res, q_disp, drive, avg, McConfig(n, 5))
+    tau = avg.s * sample_maxwell(np.random.default_rng(5), n)
+    pe = compose_train(q_res, q_disp, drive, BiasTrain(3, tau, avg.ratio_r)).p_e()
+    assert mean == float(pe.mean())
+    assert err == float(pe.std(ddof=1) / np.sqrt(n))
 
 
 def test_mc_deterministic():

@@ -195,6 +195,13 @@ def test_validate_seed_override_changes_report(tmp_path):
         assert fa.read() != fb.read()
 
 
+def test_exit_2_on_negative_seed(tmp_path, capsys):
+    assert main(["validate", "--config", write_cfg(tmp_path),
+                 "--out", str(tmp_path), "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(tmp_path, "validation_report.txt"))
+
+
 def test_exit_5_on_failing_validation(tmp_path, monkeypatch, capsys):
     failing = ValidationReport(1, 10, [
         CheckResult("synthetic_check", False, 1.0, 0.1, "forced failure"),

@@ -144,3 +144,9 @@ def test_malformed_file(tmp_path):
         load_config(write_cfg(tmp_path, "this is not an ini file\n"))
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "absent.cfg"))
+
+
+def test_negative_mc_seed_rejected(tmp_path):
+    text = MINIMAL + "\n[mc]\nseed = -5\n"
+    with pytest.raises(ConfigError, match=r"\[mc\] seed"):
+        load_config(write_cfg(tmp_path, text))

@@ -8,7 +8,7 @@ import pytest
 from ramseybias import (BiasTrain, DriveParams, QubitAmplitudes,
                         TransmonParams, ce_double, ce_triple, compose_train,
                         dispersive_phase, propagate_segment, regime_quantities,
-                        resonant_amplitudes)
+                        resonant_amplitudes, sample_maxwell)
 from ramseybias.evolution import GROUND, train_excitation
 from ramseybias.units import ghz
 
@@ -20,6 +20,23 @@ def quantities(omega_ghz=4.505, eta_ghz=0.1):
     q_res = regime_quantities(TRANSMON, drive, TRANSMON.phi_res, "resonant")
     q_disp = regime_quantities(TRANSMON, drive, TRANSMON.phi_disp, "dispersive")
     return drive, q_res, q_disp
+
+
+def stepwise_train(q_res, q_disp, drive, train):
+    """Segment-by-segment fold with the laboratory time t0 kept as a sum:
+    the reference for the composer's once-per-sample factors."""
+    tau = np.asarray(train.tau, dtype=float)
+    state = QubitAmplitudes(np.zeros_like(tau, dtype=complex),
+                            np.ones_like(tau, dtype=complex))
+    t0 = np.zeros_like(tau)
+    for k in range(train.n_res):
+        if k > 0:
+            state = dispersive_phase(state, q_disp.delta_d, drive.omega,
+                                     train.t_disp)
+            t0 = t0 + train.t_disp
+        state = propagate_segment(state, q_res, drive, tau, t0)
+        t0 = t0 + tau
+    return state
 
 
 def random_state(rng):
@@ -249,3 +266,41 @@ def test_phase_free_recursion_matches_composer():
         lean = train_excitation(n_res, q_res.lam * tau, q_res.theta,
                                 q_disp.delta_d * ratio * tau)
         assert np.max(np.abs(full.p_e() - lean)) < 1e-12
+
+
+@pytest.mark.parametrize("omega_ghz", [3.6, 4.45, 4.50666023541251, 4.56, 5.4])
+def test_composer_matches_stepwise_fold(omega_ghz):
+    drive, q_res, q_disp = quantities(omega_ghz=omega_ghz)
+    rng = np.random.default_rng(15)
+    for n_res in range(1, 7):
+        tau = 1.1e-9 * sample_maxwell(rng, 2000)
+        train = BiasTrain(n_res, tau, rng.uniform(0.0, 0.05))
+        got = compose_train(q_res, q_disp, drive, train)
+        want = stepwise_train(q_res, q_disp, drive, train)
+        assert np.max(np.abs(got.c_e - want.c_e)) <= 1e-12
+        assert np.max(np.abs(got.c_g - want.c_g)) <= 1e-12
+
+
+def test_composer_scalar_tau_equals_one_element_array():
+    drive, q_res, q_disp = quantities()
+    for n_res in (1, 2, 5):
+        scalar = compose_train(q_res, q_disp, drive, BiasTrain(n_res, 1.3e-9, 0.04))
+        array = compose_train(q_res, q_disp, drive,
+                              BiasTrain(n_res, np.array([1.3e-9]), 0.04))
+        assert np.shape(scalar.c_e) == np.shape(scalar.c_g) == ()
+        assert complex(scalar.c_e) == complex(array.c_e[0])
+        assert complex(scalar.c_g) == complex(array.c_g[0])
+
+
+def test_composer_is_split_invariant():
+    # each sample is composed on its own: slicing the ensemble changes no bit
+    drive, q_res, q_disp = quantities(omega_ghz=4.56)
+    tau = 1.1e-9 * sample_maxwell(np.random.default_rng(16), 70001)
+    for n_res in (1, 3, 6):
+        whole = compose_train(q_res, q_disp, drive, BiasTrain(n_res, tau, 0.03))
+        for cut in (1, 301, 65537):
+            parts = [compose_train(q_res, q_disp, drive, BiasTrain(n_res, t, 0.03))
+                     for t in (tau[:cut], tau[cut:])]
+            for field in ("c_e", "c_g"):
+                joined = np.concatenate([getattr(p, field) for p in parts])
+                assert np.array_equal(joined, getattr(whole, field))
