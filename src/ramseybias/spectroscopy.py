@@ -34,7 +34,8 @@ class Spectrum:
     """Sampled averaged-probability curve over probe frequency.
 
     ``omega`` is strictly increasing (rad/s); ``p_e`` values are clamped to
-    [0, 1] at assembly (out-of-range raw values are warned about upstream).
+    [0, 1] at assembly (out-of-range raw values are warned about upstream),
+    and values outside [0, 1 + 1e-6], NaN included, are rejected.
     ``params_snapshot`` records every input needed to reproduce the curve.
     """
 
@@ -52,7 +53,7 @@ class Spectrum:
             raise ValueError("empty grid")
         if self.omega.size > 1 and not np.all(np.diff(self.omega) > 0):
             raise ValueError("omega grid must be strictly increasing")
-        if np.any(self.p_e < 0) or np.any(self.p_e > 1.0 + 1e-6):
+        if not np.all((self.p_e >= 0) & (self.p_e <= 1.0 + 1e-6)):
             raise ValueError("p_e values outside [0, 1 + 1e-6]")
 
     def __len__(self):
@@ -208,14 +209,21 @@ def _parabolic_peak(x, y, i) -> tuple[float, float]:
 
 
 def _crossing(x, y, i_peak, level, side) -> float:
-    """Nearest half-maximum crossing on one side of the peak sample."""
+    """Nearest half-maximum crossing on one side of the peak sample: the
+    first sample outward not above ``level`` (NaN included) and its inner
+    neighbour bracket it."""
     step = -1 if side == "left" else 1
-    j = i_peak
-    while 0 <= j + step < len(y) and y[j + step] > level:
-        j += step
-    k = j + step
-    if k < 0 or k >= len(y):
+    outward = y[:i_peak][::-1] if step < 0 else y[i_peak + 1:]
+    hits = np.flatnonzero(~(outward > level))
+    if hits.size == 0:
         raise NoCrossingError(side)
+    k = i_peak + step * (1 + int(hits[0]))
+    j = k - step
+    if y[j] == y[k]:
+        # only the peak sample itself can tie its outer neighbour here
+        raise NoCrossingError(side, f"no half-maximum crossing on the {side} "
+                                    "side: the peak sample is at or below the "
+                                    "refined half maximum")
     # y[k] <= level < y[j]; interpolate between the bracketing samples
     t = (level - y[k]) / (y[j] - y[k])
     return float(x[k] + t * (x[j] - x[k]))
@@ -260,14 +268,10 @@ def metrics(spec: Spectrum, reference: Spectrum | None = None) -> SpectrumMetric
         shift = peak_w - ref_w
 
     w, p = spec.omega, spec.p_e
-    fringes = []
-    for k in range(1, len(p) - 1):
-        if not (p[k] > p[k - 1] and p[k] > p[k + 1]):
-            continue
-        if left <= w[k] <= right:
-            continue
-        if p[k] >= FRINGE_THRESHOLD * peak_v:
-            fringes.append((float(w[k]), float(p[k])))
+    wm, mid = w[1:-1], p[1:-1]
+    hit = ((mid > p[:-2]) & (mid > p[2:]) & ~((left <= wm) & (wm <= right))
+           & (mid >= FRINGE_THRESHOLD * peak_v))
+    fringes = [(float(a), float(b)) for a, b in zip(wm[hit], mid[hit])]
 
     return SpectrumMetrics(peak_w, peak_v, right - left, shift, fringes)
 

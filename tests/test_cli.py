@@ -1,10 +1,13 @@
 """Command-line behavior: files, round trips, exit codes, determinism."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ramseybias
 from ramseybias import Spectrum, metrics
 from ramseybias.cli import main
 from ramseybias.units import RAD_PER_GHZ
@@ -211,6 +214,30 @@ def test_exit_5_on_failing_validation(tmp_path, monkeypatch, capsys):
     assert main(["validate", "--config", write_cfg(tmp_path),
                  "--out", str(tmp_path)]) == 5
     assert "FAILED" in capsys.readouterr().err
+
+
+IMPORT_PROBE = """\
+import sys
+import ramseybias.cli
+assert 'scipy.integrate' not in sys.modules, 'scipy.integrate loaded at import'
+import scipy.integrate
+from ramseybias import averaging
+assert averaging.integrate is scipy.integrate
+b = [0.0, 0.3, 1.7, 4.0]
+quad = averaging.i_s(b, 1.0, method="quad")
+dawson = averaging.i_s(b, 1.0)
+assert max(abs(quad - dawson)) < 1e-9, (quad, dawson)
+"""
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only the quadrature oracle needs scipy.integrate; it loads on first use
+    src = os.path.dirname(os.path.dirname(ramseybias.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_threads_flag_matches_serial(tmp_path):

@@ -5,13 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramseybias import (AveragingParams, DomainError, DriveParams,
-                        NoCrossingError, NoPeakError, Spectrum, TransmonParams,
-                        cw_baseline, make_grid, metrics, omega_eg,
-                        pe_average, regime_quantities, sweep, sweep_refined)
+                        MetricsError, NoCrossingError, NoPeakError, Spectrum,
+                        SpectrumMetrics, TransmonParams, cw_baseline,
+                        make_grid, metrics, omega_eg, pe_average,
+                        regime_quantities, sweep, sweep_refined)
 from ramseybias.averaging import _pe_double_formula, _pe_grid_numeric
-from ramseybias.spectroscopy import _grid_quantities, parse_scheme
+from ramseybias.spectroscopy import (FRINGE_THRESHOLD, _grid_quantities,
+                                     _parabolic_peak, parse_scheme,
+                                     peak_location)
 from ramseybias.units import ghz, to_ghz, to_mhz
 
 TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)
@@ -135,6 +139,15 @@ def test_metrics_missing_crossing_is_side_specific():
     assert err.value.side == "right"
 
 
+def test_metrics_raises_when_the_peak_sample_ties_its_bracket():
+    # the refined peak (3.025) puts the half level above the peak sample,
+    # so the right bracket is the tie (1, 1) and the width was -inf
+    spec = Spectrum(np.array([0.0, 0.1, 1.0]), np.array([0.0, 1.0, 1.0]), "x")
+    with pytest.raises(NoCrossingError, match="at or below the refined half") as err:
+        metrics(spec)
+    assert err.value.side == "right"
+
+
 def test_fwhm_converges_under_refinement():
     coarse_step = ghz(0.002)
     m1 = metrics(lorentzian_spectrum(step=coarse_step))
@@ -231,6 +244,12 @@ def test_spectrum_validation():
         Spectrum(np.array([1.0, 2.0]), np.array([0.1, 1.5]), "cw", {})
 
 
+def test_spectrum_rejects_nan_probabilities():
+    with pytest.raises(ValueError, match="outside"):
+        Spectrum(np.array([1.0, 2.0, 3.0, 4.0]),
+                 np.array([0.1, np.nan, 0.2, 0.0]), "x")
+
+
 def test_snapshot_records_inputs():
     grid = make_grid(W_RES - ghz(0.2), W_RES + ghz(0.2), ghz(0.05))
     spec = sweep("double", TRANSMON, ETA, grid, default_avg())
@@ -286,3 +305,98 @@ def test_triple_has_fringes_quick():
     m = metrics(spec)
     assert len(m.fringes) >= 1
     assert all(h < m.peak_value for _, h in m.fringes)
+
+
+# ------------------------------------------- metrics against the loop
+
+def _loop_crossing(x, y, i_peak, level, side) -> float:
+    step = -1 if side == "left" else 1
+    j = i_peak
+    while 0 <= j + step < len(y) and y[j + step] > level:
+        j += step
+    k = j + step
+    if k < 0 or k >= len(y):
+        raise NoCrossingError(side)
+    t = (level - y[k]) / (y[j] - y[k])
+    return float(x[k] + t * (x[j] - x[k]))
+
+
+def loop_metrics(spec):
+    """The sample-by-sample walk and fringe scan that ``metrics`` replaced,
+    kept as its reference (the shift against a reference is unchanged)."""
+    peak_w, peak_v = peak_location(spec)
+    i = int(np.argmax(spec.p_e))
+    half = peak_v / 2.0
+    left = _loop_crossing(spec.omega, spec.p_e, i, half, "left")
+    right = _loop_crossing(spec.omega, spec.p_e, i, half, "right")
+
+    w, p = spec.omega, spec.p_e
+    fringes = []
+    for k in range(1, len(p) - 1):
+        if not (p[k] > p[k - 1] and p[k] > p[k + 1]):
+            continue
+        if left <= w[k] <= right:
+            continue
+        if p[k] >= FRINGE_THRESHOLD * peak_v:
+            fringes.append((float(w[k]), float(p[k])))
+
+    return SpectrumMetrics(peak_w, peak_v, right - left, None, fringes)
+
+
+@st.composite
+def metric_curves(draw):
+    """Non-uniform grids with plateaus and ties, peaks next to the edges
+    and secondary maxima at the fringe threshold."""
+    n = draw(st.integers(3, 40))
+    gaps = draw(st.lists(st.floats(0.01, 10.0), min_size=n - 1, max_size=n - 1))
+    w = np.cumsum([draw(st.floats(-100.0, 100.0))] + gaps)
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+        values = st.sampled_from(levels)
+    else:
+        values = st.floats(0.0, 1.0)
+    p = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    edge = draw(st.sampled_from([None, 1, n - 2]))
+    if edge is not None:
+        p[edge] = 1.0
+    i = int(np.argmax(p))
+    if not 0 < i < n - 1:
+        return Spectrum(w, p, "x")
+    peak_v = _parabolic_peak(w, p, i)[1]
+    # samples off the peak's three leave the refined peak unchanged
+    off = [k for k in range(n) if abs(k - i) >= 2]
+    if off and peak_v / 2 < p[i] and draw(st.booleans()):
+        # a sample exactly at the half level, where the crossing search stops
+        p[draw(st.sampled_from(off))] = peak_v / 2
+    away = [k for k in range(1, n - 1) if abs(k - i) >= 3]
+    if away and draw(st.booleans()):
+        # a fringe at the threshold, one ulp below it or one ulp above it
+        threshold = FRINGE_THRESHOLD * peak_v
+        k = draw(st.sampled_from(away))
+        target = threshold + draw(st.sampled_from([-1, 0, 1])) * np.spacing(threshold)
+        if 0.0 <= target < p[i]:
+            p[k] = target
+            p[k - 1] = min(p[k - 1], target / 2)
+            p[k + 1] = min(p[k + 1], target / 2)
+    return Spectrum(w, p, "x")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(spec=metric_curves())
+def test_metrics_equals_the_loop_version(spec):
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            want = loop_metrics(spec)
+    except FloatingPointError:
+        # the loop divided by a tied bracket (the peak sample at or below
+        # the refined half level); metrics now refuses that curve
+        with pytest.raises(NoCrossingError, match="at or below the refined half"):
+            metrics(spec)
+        return
+    except MetricsError as err:
+        with pytest.raises(type(err)) as got:
+            metrics(spec)
+        assert type(got.value) is type(err)
+        assert getattr(got.value, "side", None) == getattr(err, "side", None)
+        return
+    assert repr(metrics(spec)) == repr(want)
