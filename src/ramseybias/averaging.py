@@ -7,10 +7,12 @@ to the cosine-weighted moment
 
     I_s(beta) = integral_0^inf exp(-x^2) x^3 cos(2 beta s x) dx,
 
-which has the closed form (1 - b^2)/2 + b (2 b^2 - 3) D(b) / 2 in terms of
-the Dawson integral D at b = beta*s. Both the closed form and direct
-adaptive quadrature are provided and must agree; the quadrature path is the
-oracle for the hand-derived expression.
+which equals (1 - b^2)/2 + b (2 b^2 - 3) D(b) / 2 in terms of the Dawson
+integral D at b = beta*s. That form cancels two terms of size b^2/2, so the
+moment is evaluated instead from a committed piecewise-polynomial table
+(``moment_table.npy``, written by ``tools/make_moment_table.py``) and, past
+its end, from the asymptotic series of the same expression. A composite
+Gauss-Legendre quadrature is the independent oracle for both.
 
 Trains of any order average exactly to a finite sum of such moments, with
 coefficients from one FFT of the train population per order. Closed forms
@@ -22,11 +24,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import prod
+from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.special import dawsn
 
 from .evolution import BiasTrain, compose_train, train_excitation
 from .qubit import DriveParams, RegimeQuantities
@@ -35,7 +39,13 @@ ArrayLike = Union[float, np.ndarray]
 
 # density below 1e-26 past here; truncation point of all x integrals
 X_CUTOFF = 8.0
-I_S_EPSABS = 1e-10
+# (panels, nodes per panel) of the two composite Gauss-Legendre rules of the
+# quadrature oracle on [0, X_CUTOFF]; the second rule checks the first
+QUAD_RULES = ((16, 32), (16, 48))
+QUAD_TOL = 1e-12
+# arguments integrated per block by the oracle; bounds its temporaries
+QUAD_BLOCK = 256
+
 # FFT coefficients of the train population at or below this are roundoff
 FOLD_TOL = 1e-12
 
@@ -43,6 +53,39 @@ FOLD_TOL = 1e-12
 RANGE_TOL = 1e-8
 # Monte Carlo samples composed per slice; bounds the oracle's temporaries
 MC_CHUNK = 2**17
+
+# cells per unit of b of the moment table, and the end of the table; the
+# asymptotic series sum_{j>=2} a_j b^(-2j) takes over for |b| >= MOMENT_B
+MOMENT_CELLS = 512
+MOMENT_B = 12.0
+
+
+def _asymptotic_coefficients(terms: int) -> np.ndarray:
+    """a_2 .. a_{terms+1} of the moment's series in 1/b^2.
+
+    With D(b) ~ sum_k d_k b^(-2k-1), d_0 = 1/2 and d_k = (2k-1)!!/2^(k+1),
+    the Dawson form gives a_j = (2 d_{j+1} - 3 d_j)/2; a_0 and a_1 vanish.
+    Every a_j is exact in double for the terms used here.
+    """
+    def d(k):
+        return Fraction(prod(range(1, 2 * k, 2)), 2 ** (k + 1))
+    return np.array([float((2 * d(j + 1) - 3 * d(j)) / 2)
+                     for j in range(2, terms + 2)])
+
+
+# at |b| = MOMENT_B the first term left out is below 1e-19
+_ASYMPTOTIC = _asymptotic_coefficients(12)[::-1]
+
+
+@lru_cache(maxsize=None)
+def _moment_polynomials() -> tuple[np.ndarray, ...]:
+    """Rows of ``moment_table.npy`` from the highest power down.
+
+    Row p holds, for cell k = 0 .. MOMENT_CELLS*MOMENT_B, the coefficient of
+    t^p of the polynomial in t = MOMENT_CELLS*|b| - k that gives I(b) on
+    |t| <= 1/2. Read on first use, so that importing reads no file.
+    """
+    return tuple(np.load(Path(__file__).with_name("moment_table.npy"))[::-1])
 
 
 @dataclass(frozen=True)
@@ -100,37 +143,122 @@ def sample_maxwell(rng: np.random.Generator, size: int) -> np.ndarray:
 def i_s(beta: ArrayLike, s: float, method: str = "dawson") -> ArrayLike:
     """Cosine-weighted Maxwell moment at frequency ``beta`` (rad/s).
 
-    ``method="dawson"`` evaluates the closed form; ``method="quad"``
-    integrates x^3 e^{-x^2} cos(2 beta s x) on [0, 8] by adaptive
-    quadrature (absolute tolerance 1e-10). The two must agree to 1e-9;
-    the quadrature path is the independent oracle. It imports
-    ``scipy.integrate`` on first use, so commands that never run it do not
-    pay for that import at start-up.
+    ``method="dawson"`` evaluates the moment I(b), b = beta*s, from the
+    tabulated polynomials for |b| < ``MOMENT_B`` and from its asymptotic
+    series beyond; the name is kept from the Dawson-integral form that this
+    replaces. Its absolute error is about 1e-16 at any b. ``method="quad"``
+    is the independent oracle: it integrates x^3 e^{-x^2} cos(2 b x) on
+    [0, 8] with the two composite Gauss-Legendre rules of ``QUAD_RULES`` and
+    raises ``ArithmeticError`` where they differ by more than ``QUAD_TOL``,
+    which happens for |b| beyond about 72. Both give each argument's value
+    independently of the others: a slice of the input gives the same slice
+    of the output, bit for bit. A scalar argument gives a float; a
+    non-finite argument raises ``ValueError``.
     """
     if not s > 0:
         raise ValueError(f"time constant must be positive, got {s}")
     b = np.asarray(beta, dtype=float) * s
     if method == "dawson":
-        val = (1.0 - b * b) / 2.0 + (b / 2.0) * (2.0 * b * b - 3.0) * dawsn(b)
-        return float(val) if np.ndim(beta) == 0 else val
-    if method == "quad":
-        from scipy import integrate
+        val = _moment(b)
+    elif method == "quad":
+        _require_finite(b.ravel(), np.arange(b.size))
+        val = _moment_quad(b)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return float(val) if np.ndim(beta) == 0 else val
 
-        def one(bv):
-            f = lambda x: x**3 * np.exp(-x * x) * np.cos(2.0 * bv * x)
-            val, _ = integrate.quad(f, 0.0, X_CUTOFF, epsabs=I_S_EPSABS, limit=400)
-            return val
-        if np.ndim(b) == 0:
-            return one(float(b))
-        return np.array([one(bv) for bv in np.ravel(b)]).reshape(np.shape(b))
-    raise ValueError(f"unknown method {method!r}")
+
+def _require_finite(b: np.ndarray, where: np.ndarray) -> None:
+    """Raise on the first non-finite value of ``b``; ``where`` holds the
+    flat indices of ``b`` in the caller's argument."""
+    bad = np.flatnonzero(~np.isfinite(b))
+    if bad.size:
+        raise ValueError(f"moment argument beta*s = {b[bad[0]]} at flat index "
+                         f"{where[bad[0]]} is not finite")
+
+
+def _moment(b: np.ndarray) -> np.ndarray:
+    """I(b) from the table and, for |b| >= MOMENT_B, the asymptotic series."""
+    flat = b.ravel()
+    y = np.abs(flat)
+    y *= MOMENT_CELLS
+    far = None
+    if not y.max(initial=0.0) < MOMENT_CELLS * MOMENT_B:
+        # rare: NaN and infinity land here too
+        far = np.flatnonzero(~(y < MOMENT_CELLS * MOMENT_B))
+        b_far = flat[far]
+        _require_finite(b_far, far)
+        y[far] = 0.0
+    cell = np.rint(y)
+    y -= cell
+    cell = cell.astype(np.intp)
+    # one gather per power from its contiguous row: a row gather of the
+    # whole table costs more than all of them together
+    top, *rest = _moment_polynomials()
+    val = np.take(top, cell)
+    for coef in rest:
+        val *= y
+        val += np.take(coef, cell)
+    if far is not None:
+        w = 1.0 / (b_far * b_far)
+        tail = np.full_like(w, _ASYMPTOTIC[0])
+        for a in _ASYMPTOTIC[1:]:
+            tail *= w
+            tail += a
+        val[far] = tail * w * w
+    return val.reshape(b.shape)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes 2x and weights w * x^3 e^{-x^2} of a composite rule on [0, 8]."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    h = X_CUTOFF / panels
+    x = (np.arange(panels)[:, None] + (t + 1.0) / 2.0).ravel() * h
+    return 2.0 * x, np.tile(w * (h / 2.0), panels) * x**3 * np.exp(-x * x)
+
+
+def _rule(b: np.ndarray, panels: int, nodes: int) -> np.ndarray:
+    """One composite rule at each argument of the 1-d ``b``.
+
+    The node terms of each argument are summed by pairwise halving with
+    elementwise adds, so every argument's rounding is fixed by its own
+    terms: no BLAS product or reduction whose order depends on the layout.
+    """
+    two_x, weight = _gauss_legendre(panels, nodes)
+    terms = weight * np.cos(b[:, None] * two_x)
+    while terms.shape[1] > 1:
+        half = terms.shape[1] // 2
+        folded = terms[:, :half] + terms[:, half:2 * half]
+        if terms.shape[1] % 2:
+            folded[:, -1] += terms[:, -1]
+        terms = folded
+    return terms[:, 0]
+
+
+def _moment_quad(b: np.ndarray) -> np.ndarray:
+    """The quadrature oracle, in blocks of ``QUAD_BLOCK`` arguments."""
+    flat = b.ravel()
+    out = np.empty_like(flat)
+    first, second = QUAD_RULES
+    for start in range(0, flat.size, QUAD_BLOCK):
+        piece = slice(start, start + QUAD_BLOCK)
+        out[piece] = _rule(flat[piece], *first)
+        gap = np.abs(out[piece] - _rule(flat[piece], *second))
+        worst = int(np.argmax(gap))
+        if gap[worst] > QUAD_TOL:
+            raise ArithmeticError(
+                f"quadrature rules {first} and {second} differ by "
+                f"{gap[worst]:.2e} at b = {flat[start + worst]}; the moment "
+                "oscillates too fast for them")
+    return out.reshape(b.shape)
 
 
 def __getattr__(name):
     # perfbench/tracer.py patches getattr(averaging, "integrate"), and
     # perfbench's test_install_and_uninstall_restore_every_name fails if the
-    # name is missing; resolve it lazily so importing this module does not
-    # import scipy.integrate
+    # name is missing; the program itself never uses scipy, so it is
+    # resolved only when asked for
     if name == "integrate":
         from scipy import integrate
         return integrate

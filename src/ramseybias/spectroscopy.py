@@ -219,8 +219,9 @@ def _crossing(x, y, i_peak, level, side) -> float:
         raise NoCrossingError(side)
     k = i_peak + step * (1 + int(hits[0]))
     j = k - step
-    if y[j] == y[k]:
-        # only the peak sample itself can tie its outer neighbour here
+    if not y[j] > level:
+        # only the peak sample itself can be the inner end here: the refined
+        # peak put the half level at or above it, so there is no bracket
         raise NoCrossingError(side, f"no half-maximum crossing on the {side} "
                                     "side: the peak sample is at or below the "
                                     "refined half maximum")
@@ -255,6 +256,12 @@ def metrics(spec: Spectrum, reference: Spectrum | None = None) -> SpectrumMetric
     against the reference peak is included. Fringes are local maxima
     outside the half-maximum interval with height at least 1 % of the
     peak.
+
+    Raises NoPeakError as :func:`peak_location` does, and NoCrossingError
+    when a side has no bracketing pair of samples (the sample inside above
+    the half level, the one outside at or below it). The left side is
+    searched first, so when both sides lack a crossing the error names
+    "left".
     """
     peak_w, peak_v = peak_location(spec)
     i = int(np.argmax(spec.p_e))

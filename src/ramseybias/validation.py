@@ -2,7 +2,7 @@
 
 The suite pits the separated-field closed forms against the numeric train
 composer, the closed-form averages against Monte Carlo sampling, the
-Dawson-form moment against direct quadrature, and sweeps unitarity and
+tabulated moment against Gauss-Legendre quadrature, and sweeps unitarity and
 probability ranges. It is pure given its seed, so repeated runs render
 byte-identical reports.
 """
@@ -118,7 +118,7 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
                               worst, 1e-12,
                               "max |norm - 1| over random trains, order 1..6"))
 
-    # Dawson closed form of the cosine-weighted moment vs quadrature
+    # tabulated cosine-weighted moment (method "dawson") vs quadrature
     beta_grid = np.linspace(0.0, 10.0 * np.pi, 1000) / s
     dev = np.abs(i_s(beta_grid, s) - i_s(beta_grid, s, method="quad"))
     worst = float(np.max(dev))

@@ -1,7 +1,11 @@
 """Maxwell moments, closed-form averages and the Monte Carlo oracle."""
 
+import importlib.util
 import math
+import re
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +137,104 @@ def test_moment_validates_inputs():
         i_s(1.0, -1e-9)
     with pytest.raises(ValueError):
         i_s(1.0, 1e-9, method="fft")
+
+
+def mp_moment(b: float) -> float:
+    """I(b) = 1F1(2; 1/2; -b^2)/2 at 40 digits, rounded once to double."""
+    with mp.workdps(40):
+        return float(mp.hyp1f1(2, mp.mpf(1) / 2, -mp.mpf(float(b)) ** 2) / 2)
+
+
+TABLE_END = averaging.MOMENT_B
+# cell edges of the table, where two polynomials meet, its end and the
+# doubles either side of the end
+MOMENT_VALUES = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(-2.0 * TABLE_END, 2.0 * TABLE_END),
+    st.integers(-1, int(averaging.MOMENT_CELLS * TABLE_END)).map(
+        lambda k: (k + 0.5) / averaging.MOMENT_CELLS),
+    st.sampled_from([0.0, TABLE_END, np.nextafter(TABLE_END, 0.0),
+                     np.nextafter(TABLE_END, np.inf)]),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@st.composite
+def moment_arguments(draw):
+    shape = draw(st.sampled_from([(), (1,), (7,), (3, 4)]))
+    values = draw(st.lists(MOMENT_VALUES, min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    if shape == ():
+        return values[0] if draw(st.booleans()) else np.array(values[0])
+    return np.array(values).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(b=moment_arguments(), s=st.sampled_from([1.0, 1.1333e-9, 3e-9]))
+def test_moment_matches_mpmath(b, s):
+    beta = np.asarray(b) / s
+    got = i_s(float(beta) if isinstance(b, float) else beta, s)
+    # the moment is taken at the double beta*s, as i_s forms it
+    want = np.vectorize(mp_moment, otypes=[float])(beta * s)
+    if np.ndim(b) == 0:
+        assert type(got) is float
+    else:
+        assert got.shape == np.shape(b)
+    assert np.max(np.abs(got - want)) <= 2e-16
+
+
+@pytest.mark.parametrize("method", ["dawson", "quad"])
+def test_moment_names_the_first_non_finite_argument(method):
+    cases = [([0.5, np.nan, np.inf], "nan", 1), (np.inf, "inf", 0),
+             ([[1.0, 20.0], [-np.inf, np.nan]], "-inf", 2)]
+    for beta, value, index in cases:
+        with pytest.raises(ValueError, match=re.escape(
+                f"beta*s = {value} at flat index {index} is not finite")):
+            i_s(beta, 1.0, method=method)
+
+
+def test_moment_paths_are_elementwise():
+    # a slice of the input gives the same slice of the output, bit for bit
+    s = 1.1333333333e-9
+    # the table's arguments reach past its end, the oracle's stay in range
+    for method, top in (("dawson", 20.0), ("quad", 10.0)):
+        beta = np.linspace(-10.0 * math.pi, top * math.pi, 1000) / s
+        full = i_s(beta, s, method=method)
+        for piece in (slice(3, 700, 7), slice(None, None, -1), slice(250, 260),
+                      slice(beta.size - 1, None)):
+            assert np.array_equal(i_s(beta[piece], s, method=method), full[piece])
+        assert i_s(float(beta[517]), s, method=method) == full[517]
+        assert np.array_equal(i_s(beta[:600].reshape(20, 30), s, method=method),
+                              full[:600].reshape(20, 30))
+
+
+def test_quadrature_oracle_against_mpmath():
+    b = np.linspace(0.0, 50.0, 60)
+    want = np.array([mp_moment(v) for v in b])
+    assert np.max(np.abs(i_s(b, 1.0, method="quad") - want)) < 2e-15
+
+
+def test_quadrature_oracle_raises_when_its_rules_disagree(monkeypatch):
+    monkeypatch.setattr(averaging, "QUAD_RULES", ((16, 32), (2, 8)))
+    with pytest.raises(ArithmeticError, match="differ by"):
+        i_s(np.linspace(0.0, 10.0, 50), 1.0, method="quad")
+
+
+def test_quadrature_oracle_raises_past_its_range():
+    assert i_s(50.0, 1.0, method="quad") == pytest.approx(mp_moment(50.0), abs=1e-15)
+    with pytest.raises(ArithmeticError, match="differ by"):
+        i_s([1.0, 200.0], 1.0, method="quad")
+
+
+def test_moment_table_regenerates_bit_for_bit():
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_moment_table.py"
+    spec = importlib.util.spec_from_file_location("make_moment_table", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert (tool.CELLS, tool.B) == (averaging.MOMENT_CELLS, averaging.MOMENT_B)
+    committed = np.load(Path(averaging.__file__).with_name("moment_table.npy"))
+    fresh = tool.build_table()
+    assert fresh.dtype == committed.dtype and fresh.shape == committed.shape
+    assert np.array_equal(fresh.view(np.uint64), committed.view(np.uint64))
 
 
 # ------------------------------------------------------- averaging params

@@ -219,6 +219,13 @@ def test_exit_5_on_failing_validation(tmp_path, monkeypatch, capsys):
 IMPORT_PROBE = """\
 import sys
 import ramseybias.cli
+loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+assert not loaded, f'scipy loaded at import: {loaded}'
+config, out = sys.argv[1:]
+for command in ('baseline', 'spectrum', 'optimize'):
+    assert ramseybias.cli.main([command, '--config', config, '--out', out]) == 0
+loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+assert not loaded, f'scipy loaded by the commands: {loaded}'
 assert 'scipy.integrate' not in sys.modules, 'scipy.integrate loaded at import'
 import scipy.integrate
 from ramseybias import averaging
@@ -230,14 +237,39 @@ assert max(abs(quad - dawson)) < 1e-9, (quad, dawson)
 """
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # only the quadrature oracle needs scipy.integrate; it loads on first use
+def _src_env():
     src = os.path.dirname(os.path.dirname(ramseybias.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+
+
+def test_cli_import_leaves_out_scipy_integrate(tmp_path):
+    # the program needs numpy alone: neither importing the CLI nor running
+    # baseline, spectrum and optimize loads any scipy module
+    cfg = write_cfg(tmp_path, FAST_CFG + "\n[optimizer]\nk_values = 3.0\n"
+                                         "r_values = 0.001\n")
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, cfg,
+                           str(tmp_path / "out")], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_validate_is_byte_identical_across_fresh_processes(tmp_path):
+    # the report prints the oracle deviations to 12 digits, so a last-bit
+    # change between processes would show
+    cfg = write_cfg(tmp_path)
+    for seed in ("42", "7"):
+        reports = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{seed}{run}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "ramseybias.cli", "validate", "--config",
+                 cfg, "--out", str(out), "--seed", seed],
+                env=_src_env(), capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            reports.append((out / "validation_report.txt").read_bytes())
+        assert reports[0] == reports[1]
+        assert b"overall = pass" in reports[0]
 
 
 def test_threads_flag_matches_serial(tmp_path):

@@ -141,11 +141,24 @@ def test_metrics_missing_crossing_is_side_specific():
 
 def test_metrics_raises_when_the_peak_sample_ties_its_bracket():
     # the refined peak (3.025) puts the half level above the peak sample,
-    # so the right bracket is the tie (1, 1) and the width was -inf
+    # so the right bracket is the tie (1, 1) and the width was -inf; the
+    # left bracket (0, 1) has the same peak sample inside and is refused
+    # too, and the left side is searched first
     spec = Spectrum(np.array([0.0, 0.1, 1.0]), np.array([0.0, 1.0, 1.0]), "x")
     with pytest.raises(NoCrossingError, match="at or below the refined half") as err:
         metrics(spec)
-    assert err.value.side == "right"
+    assert err.value.side == "left"
+
+
+def test_metrics_raises_when_the_peak_sample_is_below_the_half_level():
+    # the refined peak (2.998) puts the half level (1.499) above the peak
+    # sample (1), and its outer neighbours are below it without a tie; the
+    # bracket (0, 1) was extrapolated to a width of -4.54
+    spec = Spectrum(np.array([0.0, 0.1, 1.0]), np.array([0.0, 1.0, 0.9]), "x")
+    with pytest.raises(NoCrossingError, match="at or below the refined half") as err:
+        metrics(spec)
+    # both sides lack a crossing; the left one is reported
+    assert err.value.side == "left"
 
 
 def test_fwhm_converges_under_refinement():
@@ -317,6 +330,10 @@ def _loop_crossing(x, y, i_peak, level, side) -> float:
     k = j + step
     if k < 0 or k >= len(y):
         raise NoCrossingError(side)
+    if not y[j] > level:
+        # the walk never left the peak sample, which is not above the level
+        raise NoCrossingError(side, "the peak sample is at or below the "
+                                    "refined half maximum")
     t = (level - y[k]) / (y[j] - y[k])
     return float(x[k] + t * (x[j] - x[k]))
 
@@ -387,16 +404,13 @@ def test_metrics_equals_the_loop_version(spec):
     try:
         with np.errstate(divide="raise", invalid="raise"):
             want = loop_metrics(spec)
-    except FloatingPointError:
-        # the loop divided by a tied bracket (the peak sample at or below
-        # the refined half level); metrics now refuses that curve
-        with pytest.raises(NoCrossingError, match="at or below the refined half"):
-            metrics(spec)
-        return
     except MetricsError as err:
         with pytest.raises(type(err)) as got:
             metrics(spec)
         assert type(got.value) is type(err)
         assert getattr(got.value, "side", None) == getattr(err, "side", None)
+        assert ("at or below the refined half" in str(got.value)) == (
+            "at or below the refined half" in str(err))
         return
     assert repr(metrics(spec)) == repr(want)
+    assert want.fwhm > 0
