@@ -22,6 +22,7 @@ resonance; a Monte Carlo oracle on the numeric composer checks them all.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,7 +53,7 @@ FOLD_TOL = 1e-12
 # raw averages further outside [0, 1] than this indicate a broken formula
 RANGE_TOL = 1e-8
 # Monte Carlo samples composed per slice; bounds the oracle's temporaries
-MC_CHUNK = 2**17
+MC_CHUNK = 2**15
 
 # cells per unit of b of the moment table, and the end of the table; the
 # asymptotic series sum_{j>=2} a_j b^(-2j) takes over for |b| >= MOMENT_B
@@ -137,7 +138,8 @@ def sample_maxwell(rng: np.random.Generator, size: int) -> np.ndarray:
     If u ~ Gamma(shape 2, scale 1) then x = sqrt(u) has exactly this
     density.
     """
-    return np.sqrt(rng.gamma(2.0, 1.0, size=size))
+    x = rng.gamma(2.0, 1.0, size=size)
+    return np.sqrt(x, out=x)
 
 
 def i_s(beta: ArrayLike, s: float, method: str = "dawson") -> ArrayLike:
@@ -400,6 +402,14 @@ def pe_avg_triple_closed(q_res: RegimeQuantities, q_disp: RegimeQuantities,
                                            q_disp.delta_d, avg.s, avg.ratio_r))
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def mc_oracle(n_res: int, q_res: RegimeQuantities, q_disp: RegimeQuantities,
               drive: DriveParams, avg: AveragingParams,
               mc: McConfig) -> tuple[float, float]:
@@ -413,19 +423,40 @@ def mc_oracle(n_res: int, q_res: RegimeQuantities, q_disp: RegimeQuantities,
 
     All durations are drawn in one call, then composed in slices of
     ``MC_CHUNK`` samples into one population array whose mean and standard
-    error are taken whole; the composer treats each sample on its own, so
-    the slicing changes no bit. Its complex temporaries are bounded by the
-    slice (about 2 MiB each); only the durations and the populations, 8
-    bytes per sample each, grow with ``n_samples``.
+    error are taken whole. With w usable CPUs (at most the slice count),
+    slice i is composed by worker i mod w: worker 0 is the calling thread,
+    the others are pool threads, and numpy releases the interpreter lock
+    inside the composer's array operations. The composer treats each sample
+    on its own and each slice writes only its own part of the population
+    array, so neither the slicing nor the worker count changes a bit of the
+    result. Each slice in flight holds about 7 MiB of composer temporaries;
+    only the durations and the populations, 8 bytes per sample each, grow
+    with ``n_samples``.
     """
     if n_res < 1:
         raise ValueError(f"need at least one resonant segment, got {n_res}")
-    tau = avg.s * sample_maxwell(np.random.default_rng(mc.rng_seed), mc.n_samples)
+    tau = sample_maxwell(np.random.default_rng(mc.rng_seed), mc.n_samples)
+    tau *= avg.s
     pe = np.empty(mc.n_samples)
-    for start in range(0, mc.n_samples, MC_CHUNK):
-        piece = slice(start, start + MC_CHUNK)
-        train = BiasTrain(n_res, tau[piece], avg.ratio_r)
-        pe[piece] = compose_train(q_res, q_disp, drive, train).p_e()
+
+    def compose(starts: range) -> None:
+        for start in starts:
+            piece = slice(start, start + MC_CHUNK)
+            train = BiasTrain(n_res, tau[piece], avg.ratio_r)
+            pe[piece] = compose_train(q_res, q_disp, drive, train).p_e()
+
+    starts = range(0, mc.n_samples, MC_CHUNK)
+    workers = min(_usable_cpus(), len(starts))
+    if workers == 1:
+        compose(starts)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            others = [pool.submit(compose, starts[w::workers])
+                      for w in range(1, workers)]
+            compose(starts[::workers])
+            for future in others:
+                future.result()
     mean = float(pe.mean())
     if mc.n_samples == 1:
         return mean, 0.0

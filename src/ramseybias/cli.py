@@ -46,24 +46,24 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _quantize(values) -> np.ndarray:
-    """Round to the printed 9-significant-digit representation."""
-    return np.array([float(_fmt(v)) for v in np.asarray(values, dtype=float)])
+def _quantize(rows: list[str]) -> np.ndarray:
+    """Printed CSV rows read back: the (omega_ghz, p_e) pairs that
+    re-reading the file gives."""
+    return np.fromiter((float(text) for row in rows for text in row.split(",")),
+                       dtype=float, count=2 * len(rows)).reshape(-1, 2)
 
 
-def _quantized_spectrum(spec: Spectrum) -> tuple[Spectrum, np.ndarray]:
-    """Spectrum rounded to printed precision, plus its GHz column."""
-    ghz_vals = _quantize(to_ghz(spec.omega))
-    p_vals = _quantize(spec.p_e)
-    quantized = Spectrum(ghz_vals * RAD_PER_GHZ, p_vals, spec.scheme_tag,
+def _quantized_spectrum(spec: Spectrum) -> tuple[Spectrum, list[str]]:
+    """Spectrum rounded to printed precision, plus its printed CSV rows.
+
+    Each value is formatted once, and the rounded curve is what re-reading
+    the rows gives.
+    """
+    rows = [f"{_fmt(g)},{_fmt(p)}" for g, p in zip(to_ghz(spec.omega), spec.p_e)]
+    ghz_vals, p_vals = _quantize(rows).T
+    quantized = Spectrum(ghz_vals * RAD_PER_GHZ, p_vals.copy(), spec.scheme_tag,
                          spec.params_snapshot)
-    return quantized, ghz_vals
-
-
-def _spectrum_csv(ghz_vals: np.ndarray, p_vals: np.ndarray) -> str:
-    lines = ["omega_ghz,p_e"]
-    lines.extend(f"{_fmt(g)},{_fmt(p)}" for g, p in zip(ghz_vals, p_vals))
-    return "\n".join(lines) + "\n"
+    return quantized, rows
 
 
 def _metrics_report(tag: str, cfg: RunConfig, m: SpectrumMetrics) -> str:
@@ -99,19 +99,18 @@ def _sweep_command(cfg: RunConfig, scheme: str, out_dir: str, csv_name: str,
     spec = sweep_refined(scheme, cfg.transmon, cfg.eta, cfg.omega_min,
                          cfg.omega_max, cfg.coarse_step, cfg.refine_step, avg,
                          cw_amplitude=cfg.cw_amplitude)
-    spec, ghz_vals = _quantized_spectrum(spec)
-
     reference = None
     if cfg.baseline_shift and scheme != "cw":
-        base = sweep_refined("cw", cfg.transmon, cfg.eta, cfg.omega_min,
-                             cfg.omega_max, cfg.coarse_step, cfg.refine_step,
-                             cw_amplitude=cfg.cw_amplitude)
-        reference, _ = _quantized_spectrum(base)
+        # rounded before the curve, so that their printed rows never coexist
+        reference = _quantized_spectrum(sweep_refined(
+            "cw", cfg.transmon, cfg.eta, cfg.omega_min, cfg.omega_max,
+            cfg.coarse_step, cfg.refine_step, cw_amplitude=cfg.cw_amplitude))[0]
+    spec, rows = _quantized_spectrum(spec)
     m = metrics(spec, reference=reference)
 
     csv_path = os.path.join(out_dir, csv_name)
     report_path = os.path.join(out_dir, report_name)
-    _atomic_write(csv_path, _spectrum_csv(ghz_vals, spec.p_e))
+    _atomic_write(csv_path, "\n".join(["omega_ghz,p_e", *rows, ""]))
     _atomic_write(report_path, _metrics_report(scheme, cfg, m))
     print(f"wrote {csv_path} ({len(spec)} points) and {report_path}")
     print(f"peak {to_ghz(m.peak_omega):.6f} GHz  value {m.peak_value:.4f}  "

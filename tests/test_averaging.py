@@ -3,6 +3,8 @@
 import importlib.util
 import math
 import re
+import sys
+import threading
 from pathlib import Path
 
 import mpmath as mp
@@ -437,6 +439,60 @@ def test_mc_chunking_changes_no_bits():
     pe = compose_train(q_res, q_disp, drive, BiasTrain(3, tau, avg.ratio_r)).p_e()
     assert mean == float(pe.mean())
     assert err == float(pe.std(ddof=1) / np.sqrt(n))
+
+
+@pytest.mark.parametrize("n_res", [2, 3, 6])
+def test_mc_oracle_is_independent_of_the_worker_count(monkeypatch, n_res):
+    drive, q_res, q_disp = quantities(W_RES + 0.4 * ETA)
+    avg = AveragingParams(1.1e-9, 0.02)
+    chunk = averaging.MC_CHUNK
+    # frequent thread switches make a lost or misplaced slice likelier
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n in (1, chunk - 1, chunk, 5 * chunk // 2 + 17):
+            results = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(averaging, "_usable_cpus", lambda: workers)
+                results.append(mc_oracle(n_res, q_res, q_disp, drive, avg,
+                                         McConfig(n, 11)))
+            assert results[1] == results[0] and results[2] == results[0], n
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _fail_off_the_main_thread(compose):
+    def wrapper(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("odd slice")
+        return compose(*args)
+    return wrapper
+
+
+def test_mc_oracle_raises_what_a_pool_slice_raised(monkeypatch):
+    # with two workers the pool thread composes the odd slices
+    drive, q_res, q_disp = quantities(W_RES)
+    monkeypatch.setattr(averaging, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(averaging, "compose_train",
+                        _fail_off_the_main_thread(averaging.compose_train))
+    with pytest.raises(FloatingPointError, match="odd slice"):
+        mc_oracle(2, q_res, q_disp, drive, AveragingParams(1e-9, 0.01),
+                  McConfig(3 * averaging.MC_CHUNK, 1))
+
+
+def test_mc_oracle_leaves_no_thread_running(monkeypatch):
+    drive, q_res, q_disp = quantities(W_RES)
+    avg = AveragingParams(1e-9, 0.01)
+    before = threading.active_count()
+    monkeypatch.setattr(averaging, "_usable_cpus", lambda: 3)
+    mc_oracle(2, q_res, q_disp, drive, avg, McConfig(3 * averaging.MC_CHUNK, 1))
+    assert threading.active_count() == before
+    monkeypatch.setattr(averaging, "compose_train",
+                        _fail_off_the_main_thread(averaging.compose_train))
+    with pytest.raises(FloatingPointError):
+        mc_oracle(2, q_res, q_disp, drive, avg,
+                  McConfig(3 * averaging.MC_CHUNK, 1))
+    assert threading.active_count() == before
 
 
 def test_mc_deterministic():

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import ramseybias
-from ramseybias import Spectrum, metrics
+from ramseybias import AveragingParams, Spectrum, metrics
 from ramseybias.cli import main
-from ramseybias.units import RAD_PER_GHZ
+from ramseybias.config import TEMPLATE, load_config
+from ramseybias.spectroscopy import sweep_refined
+from ramseybias.units import RAD_PER_GHZ, to_ghz
 from ramseybias.validation import CheckResult, ValidationReport
 
 # small window keeps CLI runs around the peak fast while preserving
@@ -284,3 +286,54 @@ def test_threads_flag_matches_serial(tmp_path):
     with open(os.path.join(out_a, "spectrum.csv"), "rb") as fa, \
             open(os.path.join(out_b, "spectrum.csv"), "rb") as fb:
         assert fa.read() == fb.read()
+
+
+def _two_pass_csv(spec):
+    # the CSV as written before each value was formatted once: round to the
+    # printed digits, then format the rounded values again
+    fmt = "{:.9g}".format
+    ghz_vals = [float(fmt(v)) for v in to_ghz(spec.omega)]
+    p_vals = [float(fmt(v)) for v in spec.p_e]
+    return "omega_ghz,p_e\n" + "".join(
+        f"{fmt(g)},{fmt(p)}\n" for g, p in zip(ghz_vals, p_vals))
+
+
+@pytest.mark.parametrize("kind", ["double", "triple", "general:4", "cw"])
+def test_csv_equals_the_two_pass_formatting(tmp_path, kind):
+    text = TEMPLATE.replace("kind = double   ", f"kind = {kind}   ")
+    if kind != "double":
+        text = text.replace("s = 0.68pi/3eta ", "s = 0.68pi/2eta ").replace(
+            "r = 0.001  ", "r = 0.045  ")
+    cfg = write_cfg(tmp_path, text)
+    run = load_config(cfg)
+    command, name = ("baseline", "baseline.csv") if kind == "cw" else (
+        "spectrum", "spectrum.csv")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    avg = None if kind == "cw" else AveragingParams(run.s, run.ratio_r)
+    spec = sweep_refined(kind, run.transmon, run.eta, run.omega_min,
+                         run.omega_max, run.coarse_step, run.refine_step, avg,
+                         cw_amplitude=run.cw_amplitude)
+    assert (tmp_path / name).read_text() == _two_pass_csv(spec)
+
+
+def test_validate_on_one_cpu_matches_every_cpu(tmp_path):
+    # the Monte Carlo oracle composes its slices on every usable CPU; a
+    # process pinned to one composes them all in turn
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is not available on this platform")
+    cpu = min(os.sched_getaffinity(0))
+    # 1e5 samples make four slices per oracle call
+    cfg = write_cfg(tmp_path, FAST_CFG.replace("n_samples = 20000",
+                                               "n_samples = 100000"))
+    reports = []
+    for run, pin in (("pinned", lambda: os.sched_setaffinity(0, {cpu})),
+                     ("free", None)):
+        out = tmp_path / run
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramseybias.cli", "validate", "--config",
+             cfg, "--out", str(out)], preexec_fn=pin, env=_src_env(),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "validation_report.txt").read_bytes())
+    assert reports[0] == reports[1]
+    assert b"overall = pass" in reports[0]
