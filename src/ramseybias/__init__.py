@@ -6,13 +6,13 @@ duration ensemble, extracts peak/linewidth/fringe metrics, and searches the
 duration parameters for the narrowest line.
 """
 
-from .averaging import (AveragingParams, McConfig, i_s, maxwell_pdf, mc_oracle,
+from .averaging import (AveragingParams, McConfig, i_s, mc_oracle,
                         pe_avg_triple_closed, sample_maxwell)
 from .errors import (ConfigError, DomainError, InfeasibleError, MetricsError,
                      NoCrossingError, NoPeakError)
 from .evolution import (BiasTrain, QubitAmplitudes, ce_double,
                         ce_triple, compose_train, dispersive_phase,
-                        propagate_segment, resonant_amplitudes)
+                        propagate_segment)
 from .optimizer import (ObjectiveConfig, OptimizationResult, SearchSpace,
                         optimize, seed_points)
 from .qubit import (DriveParams, RegimeQuantities, TransmonParams, omega_eg,
@@ -30,9 +30,9 @@ __all__ = [
     "OptimizationResult", "QubitAmplitudes", "RegimeQuantities",
     "SearchSpace", "Spectrum", "SpectrumMetrics",
     "TransmonParams", "ce_double", "ce_triple", "compose_train",
-    "cw_baseline", "dispersive_phase", "i_s", "make_grid", "maxwell_pdf",
+    "cw_baseline", "dispersive_phase", "i_s", "make_grid",
     "mc_oracle", "metrics", "omega_eg", "optimize", "pe_average",
     "pe_avg_triple_closed", "propagate_segment",
-    "regime_quantities", "resonant_amplitudes", "run_validation",
+    "regime_quantities", "run_validation",
     "sample_maxwell", "seed_points", "sweep", "sweep_refined",
 ]

@@ -103,7 +103,7 @@ class AveragingParams:
     def __post_init__(self):
         if not self.s > 0:
             raise ValueError(f"time constant must be positive, got {self.s}")
-        if self.ratio_r < 0:
+        if not self.ratio_r >= 0:
             raise ValueError(f"ratio_r must be non-negative, got {self.ratio_r}")
 
 
@@ -119,17 +119,6 @@ class McConfig:
             raise ValueError(f"need at least one sample, got {self.n_samples}")
         if self.rng_seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.rng_seed}")
-
-
-def maxwell_pdf(x: ArrayLike) -> ArrayLike:
-    """Unnormalized duration density x^3 exp(-x^2); integrates to 1/2.
-
-    The normalized density is 2 x^3 exp(-x^2). Requires x >= 0.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("duration variable must be non-negative")
-    return x**3 * np.exp(-x * x)
 
 
 def sample_maxwell(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -302,31 +291,6 @@ def _pe_double_formula(lam: ArrayLike, theta: ArrayLike, delta_d: ArrayLike,
     return val
 
 
-def _pe_triple_closed_formula(lam: ArrayLike, theta: ArrayLike,
-                              delta_d: ArrayLike, s: float,
-                              ratio_r: float) -> ArrayLike:
-    """Close-resonance duration average of the three-segment train.
-
-    Valid where the detuning is small against the coupling; exact at zero
-    detuning, where the mixing-angle cosine vanishes.
-    """
-    fp = np.sin(theta)
-    rdd = ratio_r * np.asarray(delta_d, dtype=float)
-    moment = lambda b: i_s(b, s)
-    bracket = (6.0
-               - 10.0 * moment(lam)
-               + 4.0 * moment(2.0 * lam)
-               - 6.0 * moment(3.0 * lam)
-               + 4.0 * moment(2.0 * rdd)
-               + 4.0 * moment(lam + rdd) + 4.0 * moment(lam - rdd)
-               + moment(lam + 2.0 * rdd) + moment(lam - 2.0 * rdd)
-               - 2.0 * moment(2.0 * lam + 2.0 * rdd)
-               - 2.0 * moment(2.0 * lam - 2.0 * rdd)
-               - 4.0 * moment(3.0 * lam + rdd) - 4.0 * moment(3.0 * lam - rdd)
-               - moment(3.0 * lam + 2.0 * rdd) - moment(3.0 * lam - 2.0 * rdd))
-    return fp * fp / 16.0 * bracket
-
-
 def _triple_population(x: float, lam: np.ndarray, theta: np.ndarray,
                        delta_d: np.ndarray, s: float, ratio_r: float) -> np.ndarray:
     """|c_e|^2 of the three-segment train at tau = s*x (hand-derived oracle)."""
@@ -395,11 +359,26 @@ def pe_avg_triple_closed(q_res: RegimeQuantities, q_disp: RegimeQuantities,
                          avg: AveragingParams) -> float:
     """Close-resonance closed form for the three-segment train average.
 
-    Exact at zero detuning; off resonance it is an approximation and may
-    leave [0, 1], which is expected and not warned about.
+    Valid where the detuning is small against the coupling; exact at zero
+    detuning, where the mixing-angle cosine vanishes. Off resonance it is
+    an approximation and may leave [0, 1], which is expected and not
+    warned about.
     """
-    return float(_pe_triple_closed_formula(q_res.lam, q_res.theta,
-                                           q_disp.delta_d, avg.s, avg.ratio_r))
+    lam, fp = q_res.lam, np.sin(q_res.theta)
+    rdd = avg.ratio_r * np.asarray(q_disp.delta_d, dtype=float)
+    moment = lambda b: i_s(b, avg.s)
+    bracket = (6.0
+               - 10.0 * moment(lam)
+               + 4.0 * moment(2.0 * lam)
+               - 6.0 * moment(3.0 * lam)
+               + 4.0 * moment(2.0 * rdd)
+               + 4.0 * moment(lam + rdd) + 4.0 * moment(lam - rdd)
+               + moment(lam + 2.0 * rdd) + moment(lam - 2.0 * rdd)
+               - 2.0 * moment(2.0 * lam + 2.0 * rdd)
+               - 2.0 * moment(2.0 * lam - 2.0 * rdd)
+               - 4.0 * moment(3.0 * lam + rdd) - 4.0 * moment(3.0 * lam - rdd)
+               - moment(3.0 * lam + 2.0 * rdd) - moment(3.0 * lam - 2.0 * rdd))
+    return float(fp * fp / 16.0 * bracket)
 
 
 def _usable_cpus() -> int:

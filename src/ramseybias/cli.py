@@ -61,9 +61,7 @@ def _quantized_spectrum(spec: Spectrum) -> tuple[Spectrum, list[str]]:
     """
     rows = [f"{_fmt(g)},{_fmt(p)}" for g, p in zip(to_ghz(spec.omega), spec.p_e)]
     ghz_vals, p_vals = _quantize(rows).T
-    quantized = Spectrum(ghz_vals * RAD_PER_GHZ, p_vals.copy(), spec.scheme_tag,
-                         spec.params_snapshot)
-    return quantized, rows
+    return Spectrum(ghz_vals * RAD_PER_GHZ, p_vals.copy(), spec.scheme_tag), rows
 
 
 def _metrics_report(tag: str, cfg: RunConfig, m: SpectrumMetrics) -> str:
@@ -196,7 +194,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
 def cmd_validate(cfg: RunConfig, out_dir: str) -> int:
     report = run_validation(cfg.transmon, cfg.eta,
                             McConfig(cfg.n_samples, cfg.seed),
-                            s=cfg.s, ratio_r=cfg.ratio_r or 0.001)
+                            s=cfg.s, ratio_r=cfg.ratio_r)
     path = os.path.join(out_dir, "validation_report.txt")
     _atomic_write(path, report.render())
     print(f"wrote {path}")

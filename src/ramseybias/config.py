@@ -98,6 +98,14 @@ def _fail(section: str, key: str, message: str):
     raise ConfigError(f"[{section}] {key}: {message}")
 
 
+def _finite(text: str) -> float:
+    """``float(text)``, with NaN and the infinities refused as ValueError."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 class _Section:
     def __init__(self, parser: configparser.ConfigParser, name: str):
         self.parser = parser
@@ -116,9 +124,9 @@ class _Section:
     def number(self, key: str, default: float | None = None) -> float:
         value = self.text(key, None if default is None else str(default))
         try:
-            return float(value)
+            return _finite(value)
         except ValueError:
-            _fail(self.name, key, f"expected a number, got {value!r}")
+            _fail(self.name, key, f"expected a finite number, got {value!r}")
 
     def integer(self, key: str, default: int | None = None) -> int:
         value = self.text(key, None if default is None else str(default))
@@ -141,7 +149,7 @@ def parse_time_constant(text: str, eta: float) -> float:
     rule = _S_RULE.match(text)
     if rule:
         return seed_points(eta, [float(rule.group(1))])[0]
-    return ns(float(text))
+    return ns(_finite(text))
 
 
 def _parse_values(text: str, section: str, key: str) -> tuple[float, ...]:
@@ -152,16 +160,16 @@ def _parse_values(text: str, section: str, key: str) -> tuple[float, ...]:
         if len(parts) != 3:
             _fail(section, key, "logspace needs min,max,count")
         try:
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+            lo, hi, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
         except ValueError:
             _fail(section, key, f"malformed logspace spec {text!r}")
         if lo <= 0 or hi <= 0 or count < 1:
             _fail(section, key, "logspace needs positive bounds and count >= 1")
         return tuple(float(v) for v in np.geomspace(lo, hi, count))
     try:
-        return tuple(float(v) for v in text.split(","))
+        return tuple(_finite(v) for v in text.split(","))
     except ValueError:
-        _fail(section, key, f"expected a comma list of numbers, got {text!r}")
+        _fail(section, key, f"expected a comma list of finite numbers, got {text!r}")
 
 
 def load_config(path: str) -> RunConfig:

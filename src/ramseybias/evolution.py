@@ -66,9 +66,9 @@ class BiasTrain:
     def __post_init__(self):
         if self.n_res < 1:
             raise ValueError(f"need at least one resonant segment, got {self.n_res}")
-        if np.any(np.asarray(self.tau) < 0):
+        if not np.all(np.asarray(self.tau) >= 0):
             raise ValueError("tau must be non-negative")
-        if self.ratio_r < 0:
+        if not self.ratio_r >= 0:
             raise ValueError(f"ratio_r must be non-negative, got {self.ratio_r}")
 
     @property
@@ -101,23 +101,6 @@ def propagate_segment(state: QubitAmplitudes, q: RegimeQuantities,
         - 1j * st * s * np.exp(-1j * cross) * state.c_g
     c_g = (c + 1j * ct * s) * np.exp(1j * half) * state.c_g \
         - 1j * st * s * np.exp(1j * cross) * state.c_e
-    return QubitAmplitudes(c_e, c_g)
-
-
-def resonant_amplitudes(q: RegimeQuantities, drive: DriveParams,
-                        tau: ArrayLike) -> QubitAmplitudes:
-    """Amplitudes after a single resonant segment from the ground state.
-
-    Specialization of :func:`propagate_segment` at t0 = 0 with
-    (c_e, c_g) = (0, 1)::
-
-        c_e = -i sin(theta) sin(lam tau) e^{-i omega tau/2}
-        c_g = (cos(lam tau) + i cos(theta) sin(lam tau)) e^{+i omega tau/2}
-    """
-    lam_tau = q.lam * np.asarray(tau, dtype=float)
-    phase = np.exp(1j * drive.omega * np.asarray(tau, dtype=float) / 2.0)
-    c_e = -1j * np.sin(q.theta) * np.sin(lam_tau) / phase
-    c_g = (np.cos(lam_tau) + 1j * np.cos(q.theta) * np.sin(lam_tau)) * phase
     return QubitAmplitudes(c_e, c_g)
 
 
@@ -183,9 +166,9 @@ def compose_train(q_res: RegimeQuantities, q_disp: RegimeQuantities,
     c_e' = a c_e + b c_g, c_g' = conj(a) c_g - conj(b) c_e, where b carries
     the cross-coupling phase e^{-i omega t0}: it is multiplied by the advance
     before each later segment, so the laboratory start time is threaded
-    through by multiplication. For n_res = 1, 2, 3 the excited amplitude
-    reproduces :func:`resonant_amplitudes`, :func:`ce_double` and
-    :func:`ce_triple`.
+    through by multiplication. For n_res = 1 it is one
+    :func:`propagate_segment` from the ground state, and for n_res = 2, 3
+    the excited amplitude reproduces :func:`ce_double` and :func:`ce_triple`.
     """
     shape = np.shape(train.tau)
     # numpy's scalar loops round differently: compute a scalar as one sample

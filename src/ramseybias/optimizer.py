@@ -35,9 +35,9 @@ class SearchSpace:
     def __post_init__(self):
         if not self.s_grid or not self.r_grid:
             raise ValueError("search grids must be non-empty")
-        if any(s <= 0 for s in self.s_grid):
+        if any(not s > 0 for s in self.s_grid):
             raise ValueError("all time constants must be positive")
-        if any(r < 0 for r in self.r_grid):
+        if any(not r >= 0 for r in self.r_grid):
             raise ValueError("all duration ratios must be non-negative")
         parse_scheme(self.scheme)
         if self.scheme == "cw":
@@ -77,10 +77,10 @@ def seed_points(eta: float, k_values: list[float]) -> list[float]:
     ``k`` is the harmonic multiple of the dressed rate (lam, 2 lam, 3 lam)
     whose oscillatory moment the choice suppresses.
     """
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError(f"coupling strength must be positive, got {eta}")
     for k in k_values:
-        if k <= 0:
+        if not k > 0:
             raise ValueError(f"harmonic multiple must be positive, got {k}")
     return [SEED_PHASE / (k * eta) for k in k_values]
 

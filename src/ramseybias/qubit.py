@@ -104,7 +104,6 @@ class RegimeQuantities:
     phase-accumulation rate and is only set for the dispersive regime.
     """
 
-    regime: str
     delta: float | np.ndarray
     lam: float | np.ndarray
     theta: float | np.ndarray
@@ -131,22 +130,24 @@ def omega_eg(params: TransmonParams, phi: float) -> float:
     return gap
 
 
-def regime_quantities(params: TransmonParams, drive: DriveParams, phi: float,
+def regime_quantities(params: TransmonParams, drive: DriveParams,
                       regime: str) -> RegimeQuantities:
     """Detuning, precession rate and mixing angle at one bias point.
 
-    Broadcasts over ``drive.omega`` (a scalar or a grid). For
-    ``regime="resonant"`` the returned record carries ``delta``, ``lam`` and
-    ``theta`` evaluated at ``phi``. For ``regime="dispersive"`` it
+    The regime picks the bias: ``"resonant"`` evaluates at
+    ``params.phi_res`` and ``"dispersive"`` at ``params.phi_disp``.
+    Broadcasts over ``drive.omega`` (a scalar or a grid). The returned
+    record carries ``delta``, ``lam`` and ``theta``; the dispersive one
     additionally carries ``delta_d``, the phase-accumulation rate
     ``(omega_eg' - omega)/2 + eta^2/(omega_eg' - omega)``.
 
     Raises
     ------
+    ValueError
+        If ``regime`` is neither of the two.
     DomainError
-        If the splitting at ``phi`` is invalid, or a probe frequency is
-        exactly resonant with the dispersive-bias splitting (the rate
-        diverges); the first such frequency is named.
+        If a probe frequency is exactly resonant with the dispersive-bias
+        splitting (the rate diverges); the first such frequency is named.
 
     Warns
     -----
@@ -157,13 +158,14 @@ def regime_quantities(params: TransmonParams, drive: DriveParams, phi: float,
     """
     if regime not in ("resonant", "dispersive"):
         raise ValueError(f"unknown regime {regime!r}")
-    w_eg = omega_eg(params, phi)
+    w_eg = omega_eg(params, params.phi_res if regime == "resonant"
+                    else params.phi_disp)
     eta = drive.eta
     delta = (w_eg - drive.omega) / 2.0
     lam = np.hypot(delta, eta)
     theta = np.arctan2(eta, delta)
     if regime == "resonant":
-        return RegimeQuantities("resonant", delta, lam, theta)
+        return RegimeQuantities(delta, lam, theta)
 
     detune = w_eg - drive.omega
     hit = np.flatnonzero(detune == 0.0)
@@ -182,4 +184,4 @@ def regime_quantities(params: TransmonParams, drive: DriveParams, phi: float,
             stacklevel=2,
         )
     delta_d = detune / 2.0 + eta**2 / detune
-    return RegimeQuantities("dispersive", delta, lam, theta, delta_d)
+    return RegimeQuantities(delta, lam, theta, delta_d)

@@ -13,7 +13,7 @@ and dispersive shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .averaging import (AveragingParams, ArrayLike, _check_range,
                         _pe_double_formula, _pe_grid_numeric)
 from .errors import NoCrossingError, NoPeakError
 from .qubit import DriveParams, TransmonParams, regime_quantities
-from .units import to_ghz, to_ns
+from .units import to_ghz
 
 CW_AMPLITUDE_DEFAULT = 0.5
 
@@ -36,13 +36,11 @@ class Spectrum:
     ``omega`` is strictly increasing (rad/s); ``p_e`` values are clamped to
     [0, 1] at assembly (out-of-range raw values are warned about upstream),
     and values outside [0, 1 + 1e-6], NaN included, are rejected.
-    ``params_snapshot`` records every input needed to reproduce the curve.
     """
 
     omega: np.ndarray
     p_e: np.ndarray
     scheme_tag: str
-    params_snapshot: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=float)
@@ -76,29 +74,9 @@ def _grid_quantities(transmon: TransmonParams, eta: float,
                      grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resonant-bias lam and theta and dispersive-bias delta_d over a grid."""
     drive = DriveParams(eta, grid)
-    q_res = regime_quantities(transmon, drive, transmon.phi_res, "resonant")
-    q_disp = regime_quantities(transmon, drive, transmon.phi_disp, "dispersive")
+    q_res = regime_quantities(transmon, drive, "resonant")
+    q_disp = regime_quantities(transmon, drive, "dispersive")
     return q_res.lam, q_res.theta, q_disp.delta_d
-
-
-def _snapshot(transmon, eta, scheme, grid, avg, cw_amplitude) -> dict:
-    snap = {
-        "scheme": scheme,
-        "ec_ghz": to_ghz(transmon.e_c),
-        "ej_ratio": transmon.ej_ratio,
-        "phi_res": transmon.phi_res,
-        "phi_disp": transmon.phi_disp,
-        "eta_ghz": to_ghz(eta),
-        "grid_min_ghz": to_ghz(float(grid[0])),
-        "grid_max_ghz": to_ghz(float(grid[-1])),
-        "n_points": int(grid.size),
-    }
-    if avg is not None:
-        snap["s_ns"] = to_ns(avg.s)
-        snap["ratio_r"] = avg.ratio_r
-    if scheme == "cw":
-        snap["cw_amplitude"] = cw_amplitude
-    return snap
 
 
 def parse_scheme(scheme: str) -> int | None:
@@ -147,11 +125,9 @@ def cw_baseline(transmon: TransmonParams, eta: float, omega_grid: np.ndarray,
     metrics do not depend on it.
     """
     grid = np.asarray(omega_grid, dtype=float)
-    delta = regime_quantities(transmon, DriveParams(eta, grid), transmon.phi_res,
-                              "resonant").delta
+    delta = regime_quantities(transmon, DriveParams(eta, grid), "resonant").delta
     p = amplitude * eta**2 / (delta * delta + eta**2)
-    snap = _snapshot(transmon, eta, "cw", grid, None, amplitude)
-    return Spectrum(grid, p, "cw", snap)
+    return Spectrum(grid, p, "cw")
 
 
 def sweep(scheme: str, transmon: TransmonParams, eta: float,
@@ -179,8 +155,7 @@ def sweep(scheme: str, transmon: TransmonParams, eta: float,
     lam, theta, delta_d = _grid_quantities(transmon, eta, grid)
     raw = pe_average(n_res, lam, theta, delta_d, avg)
     p = np.clip(raw, 0.0, 1.0)
-    snap = _snapshot(transmon, eta, scheme, grid, avg, cw_amplitude)
-    return Spectrum(grid, p, scheme, snap)
+    return Spectrum(grid, p, scheme)
 
 
 def make_grid(omega_min: float, omega_max: float, step: float) -> np.ndarray:
@@ -311,7 +286,4 @@ def sweep_refined(scheme: str, transmon: TransmonParams, eta: float,
     keep = np.empty(w.size, dtype=bool)
     keep[0] = True
     keep[1:] = np.diff(w) > 0
-    snap = dict(coarse.params_snapshot)
-    snap["refine_step_ghz"] = to_ghz(refine_step)
-    snap["coarse_step_ghz"] = to_ghz(coarse_step)
-    return Spectrum(w[keep], p[keep], coarse.scheme_tag, snap)
+    return Spectrum(w[keep], p[keep], coarse.scheme_tag)

@@ -66,25 +66,27 @@ class ValidationReport:
 
 def _quantities(transmon, eta, omega):
     drive = DriveParams(eta, omega)
-    q_res = regime_quantities(transmon, drive, transmon.phi_res, "resonant")
-    q_disp = regime_quantities(transmon, drive, transmon.phi_disp, "dispersive")
+    q_res = regime_quantities(transmon, drive, "resonant")
+    q_disp = regime_quantities(transmon, drive, "dispersive")
     return drive, q_res, q_disp
 
 
 def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
-                   s: float | None = None, ratio_r: float = 0.001,
+                   s: float | None = None, ratio_r: float | None = None,
                    mc_draws: int = 5,
                    pe_double_fn: Callable = partial(pe_average, 2)
                    ) -> ValidationReport:
     """Run every cross-check and collect a deterministic report.
 
-    ``pe_double_fn(lam, theta, delta_d, avg)`` is the two-segment average
-    under test; it exists so a deliberately corrupted closed form can be
-    injected to prove the Monte Carlo comparison actually has teeth.
+    ``s`` defaults to the k = 3 seed 0.68 pi / (3 eta) and ``ratio_r`` to
+    0.001. ``pe_double_fn(lam, theta, delta_d, avg)`` is the two-segment
+    average under test; it exists so a deliberately corrupted closed form
+    can be injected to prove the Monte Carlo comparison actually has teeth.
     """
     rng = np.random.default_rng(mc.rng_seed)
     if s is None:
         s = seed_points(eta, [3.0])[0]
+    ratio_r = 0.001 if ratio_r is None else ratio_r
     w_res = omega_eg(transmon, transmon.phi_res)
     checks: list[CheckResult] = []
 

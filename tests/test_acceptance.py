@@ -50,8 +50,8 @@ def report(num, ok, text):
 
 def quantities(transmon, omega):
     drive = DriveParams(ETA, omega)
-    q_res = regime_quantities(transmon, drive, transmon.phi_res, "resonant")
-    q_disp = regime_quantities(transmon, drive, transmon.phi_disp, "dispersive")
+    q_res = regime_quantities(transmon, drive, "resonant")
+    q_disp = regime_quantities(transmon, drive, "dispersive")
     return drive, q_res, q_disp
 
 

@@ -16,7 +16,7 @@ from scipy.optimize import minimize_scalar
 
 from ramseybias import (AveragingParams, BiasTrain, DriveParams, McConfig,
                         TransmonParams, averaging, ce_double, compose_train,
-                        i_s, make_grid, maxwell_pdf, mc_oracle, omega_eg,
+                        i_s, make_grid, mc_oracle, omega_eg,
                         pe_average, pe_avg_triple_closed, regime_quantities,
                         sample_maxwell, sweep)
 from ramseybias.averaging import X_CUTOFF, _moment_table, _pe_grid_numeric
@@ -31,8 +31,8 @@ W_RES = omega_eg(TRANSMON, TRANSMON.phi_res)
 
 def quantities(omega):
     drive = DriveParams(ETA, omega)
-    q_res = regime_quantities(TRANSMON, drive, TRANSMON.phi_res, "resonant")
-    q_disp = regime_quantities(TRANSMON, drive, TRANSMON.phi_disp, "dispersive")
+    q_res = regime_quantities(TRANSMON, drive, "resonant")
+    q_disp = regime_quantities(TRANSMON, drive, "dispersive")
     return drive, q_res, q_disp
 
 
@@ -57,6 +57,17 @@ def quadrature_average(n_res, lam, theta, delta_d, s, ratio_r):
 
 
 # ---------------------------------------------------------------- density
+
+def maxwell_pdf(x):
+    """Unnormalized duration density x^3 exp(-x^2); integrates to 1/2.
+
+    The normalized density is 2 x^3 exp(-x^2). Requires x >= 0.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("duration variable must be non-negative")
+    return x**3 * np.exp(-x * x)
+
 
 def test_density_vanishes_at_origin():
     assert maxwell_pdf(0.0) == 0.0
@@ -246,6 +257,8 @@ def test_averaging_params_validation():
         AveragingParams(-1e-9, 0.1)
     with pytest.raises(ValueError):
         AveragingParams(1e-9, -0.1)
+    with pytest.raises(ValueError, match="ratio_r"):
+        AveragingParams(1e-9, math.nan)
     with pytest.raises(ValueError):
         McConfig(0, 1)
     with pytest.raises(ValueError, match="seed"):

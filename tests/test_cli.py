@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import ramseybias
-from ramseybias import AveragingParams, Spectrum, metrics
+from ramseybias import AveragingParams, McConfig, Spectrum, metrics
 from ramseybias.cli import main
 from ramseybias.config import TEMPLATE, load_config
 from ramseybias.spectroscopy import sweep_refined
 from ramseybias.units import RAD_PER_GHZ, to_ghz
-from ramseybias.validation import CheckResult, ValidationReport
+from ramseybias.validation import CheckResult, ValidationReport, run_validation
 
 # small window keeps CLI runs around the peak fast while preserving
 # both half-maximum crossings (cw width is 0.4 GHz)
@@ -93,7 +93,7 @@ def test_report_metrics_match_reread_csv(tmp_path):
     out = str(tmp_path / "out")
     assert main(["spectrum", "--config", cfg, "--out", out]) == 0
     ghz_col, p_col = read_csv(os.path.join(out, "spectrum.csv"))
-    reread = Spectrum(ghz_col * RAD_PER_GHZ, p_col, "double", {})
+    reread = Spectrum(ghz_col * RAD_PER_GHZ, p_col, "double")
     m = metrics(reread)
     report = read_report(os.path.join(out, "metrics.txt"))
     assert f"{m.peak_omega / RAD_PER_GHZ:.9g}" == report["peak_ghz"]
@@ -198,6 +198,35 @@ def test_validate_seed_override_changes_report(tmp_path):
     with open(os.path.join(out_a, "validation_report.txt")) as fa, \
             open(os.path.join(out_b, "validation_report.txt")) as fb:
         assert fa.read() != fb.read()
+
+
+@pytest.mark.parametrize("r_line, want", [("r = 0", 0.0), ("r = 0.0", 0.0),
+                                          ("# r = 0.001", None)])
+def test_validate_passes_the_configured_ratio(tmp_path, monkeypatch, r_line,
+                                              want):
+    # a configured R = 0 reaches the suite as 0; an absent R arrives as None
+    # and the suite's own default applies
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["ratio_r"])
+        return run_validation(*args, **kwargs)
+
+    monkeypatch.setattr("ramseybias.cli.run_validation", spy)
+    cfg = write_cfg(tmp_path, FAST_CFG.replace("r = 0.001", r_line))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    assert seen == [want]
+    assert b"overall = pass" in (out / "validation_report.txt").read_bytes()
+
+
+def test_validation_ratio_defaults_to_0_001(tmp_path):
+    cfg = load_config(write_cfg(tmp_path))
+    mc = McConfig(2000, 3)
+    default = run_validation(cfg.transmon, cfg.eta, mc, s=cfg.s, ratio_r=None)
+    explicit = run_validation(cfg.transmon, cfg.eta, mc, s=cfg.s,
+                              ratio_r=0.001)
+    assert default.render() == explicit.render()
 
 
 def test_exit_2_on_negative_seed(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Configuration parsing and validation."""
 
 import math
+import re
 
 import pytest
 
 from ramseybias import ConfigError, DomainError
+from ramseybias.cli import main
 from ramseybias.config import TEMPLATE, load_config, parse_time_constant
 from ramseybias.units import RAD_PER_GHZ, ghz
 
@@ -150,3 +152,26 @@ def test_negative_mc_seed_rejected(tmp_path):
     text = MINIMAL + "\n[mc]\nseed = -5\n"
     with pytest.raises(ConfigError, match=r"\[mc\] seed"):
         load_config(write_cfg(tmp_path, text))
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("spectrum", "averaging", "r", "nan"),
+    ("spectrum", "averaging", "s", "inf"),
+    ("spectrum", "sweep", "step_mhz", "nan"),
+    ("spectrum", "sweep", "cw_amplitude", "nan"),
+    ("spectrum", "drive", "eta_ghz", "inf"),
+    ("spectrum", "transmon", "ec_ghz", "-inf"),
+    ("optimize", "optimizer", "k_values", "nan"),
+    ("optimize", "optimizer", "k_values", "2.5, inf"),
+    ("optimize", "optimizer", "r_values", "logspace:nan,0.1,12"),
+    ("optimize", "optimizer", "r_values", "logspace:0.0005,inf,12"),
+    ("optimize", "optimizer", "s_values_ns", "1.0, nan"),
+])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, command, section, key,
+                                   value):
+    text, hits = re.subn(rf"^#? ?{key} = .*$", f"{key} = {value}", TEMPLATE,
+                         flags=re.M)
+    assert hits == 1
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"[{section}] {key}:" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 from ramseybias import (BiasTrain, DriveParams, QubitAmplitudes,
                         TransmonParams, ce_double, ce_triple, compose_train,
                         dispersive_phase, propagate_segment, regime_quantities,
-                        resonant_amplitudes, sample_maxwell)
+                        sample_maxwell)
 from ramseybias.evolution import GROUND, train_excitation
 from ramseybias.units import ghz
 
@@ -17,8 +17,8 @@ TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)
 
 def quantities(omega_ghz=4.505, eta_ghz=0.1):
     drive = DriveParams.from_ghz(eta_ghz, omega_ghz)
-    q_res = regime_quantities(TRANSMON, drive, TRANSMON.phi_res, "resonant")
-    q_disp = regime_quantities(TRANSMON, drive, TRANSMON.phi_disp, "dispersive")
+    q_res = regime_quantities(TRANSMON, drive, "resonant")
+    q_disp = regime_quantities(TRANSMON, drive, "dispersive")
     return drive, q_res, q_disp
 
 
@@ -37,6 +37,22 @@ def stepwise_train(q_res, q_disp, drive, train):
         state = propagate_segment(state, q_res, drive, tau, t0)
         t0 = t0 + tau
     return state
+
+
+def resonant_amplitudes(q, drive, tau):
+    """Amplitudes after a single resonant segment from the ground state.
+
+    Specialization of :func:`propagate_segment` at t0 = 0 with
+    (c_e, c_g) = (0, 1)::
+
+        c_e = -i sin(theta) sin(lam tau) e^{-i omega tau/2}
+        c_g = (cos(lam tau) + i cos(theta) sin(lam tau)) e^{+i omega tau/2}
+    """
+    lam_tau = q.lam * np.asarray(tau, dtype=float)
+    phase = np.exp(1j * drive.omega * np.asarray(tau, dtype=float) / 2.0)
+    c_e = -1j * np.sin(q.theta) * np.sin(lam_tau) / phase
+    c_g = (np.cos(lam_tau) + 1j * np.cos(q.theta) * np.sin(lam_tau)) * phase
+    return QubitAmplitudes(c_e, c_g)
 
 
 def random_state(rng):
@@ -253,6 +269,11 @@ def test_train_validation():
         BiasTrain(2, -1e-9, 0.1)
     with pytest.raises(ValueError):
         BiasTrain(2, 1e-9, -0.1)
+    for tau in (math.nan, np.array([1e-9, math.nan])):
+        with pytest.raises(ValueError, match="tau"):
+            BiasTrain(2, tau, 0.0)
+    with pytest.raises(ValueError, match="ratio_r"):
+        BiasTrain(2, 1e-9, math.nan)
 
 
 def test_phase_free_recursion_matches_composer():

@@ -32,6 +32,10 @@ def test_seed_points_rule():
         seed_points(ETA, [-1.0])
     with pytest.raises(ValueError):
         seed_points(0.0, [2.0])
+    with pytest.raises(ValueError, match="harmonic"):
+        seed_points(ETA, [math.nan])
+    with pytest.raises(ValueError, match="coupling"):
+        seed_points(math.nan, [3.0])
 
 
 def test_search_space_validation():
@@ -39,6 +43,10 @@ def test_search_space_validation():
         SearchSpace((), (0.001,), "double")
     with pytest.raises(ValueError):
         SearchSpace((1e-9,), (-0.1,), "double")
+    with pytest.raises(ValueError, match="time constants"):
+        SearchSpace((math.nan,), (0.001,), "double")
+    with pytest.raises(ValueError, match="duration ratios"):
+        SearchSpace((1e-9,), (math.nan,), "double")
     with pytest.raises(ValueError):
         SearchSpace((1e-9,), (0.001,), "cw")
     with pytest.raises(ValueError):

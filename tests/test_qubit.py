@@ -71,7 +71,7 @@ def test_detuning_identities(transmon):
     for _ in range(200):
         drive = DriveParams(ghz(rng.uniform(0.01, 0.5)),
                             rng.uniform(0.5, 1.5) * w_eg)
-        q = regime_quantities(transmon, drive, transmon.phi_res, "resonant")
+        q = regime_quantities(transmon, drive, "resonant")
         assert q.lam == pytest.approx(math.hypot(q.delta, drive.eta), rel=1e-15)
         assert q.lam >= abs(q.delta) and q.lam >= drive.eta
         assert 0.0 < q.theta < math.pi
@@ -85,7 +85,7 @@ def test_detuning_identities(transmon):
 def test_resonant_probe_gives_right_angle(transmon):
     w_eg = omega_eg(transmon, transmon.phi_res)
     drive = DriveParams(ghz(0.1), w_eg)
-    q = regime_quantities(transmon, drive, transmon.phi_res, "resonant")
+    q = regime_quantities(transmon, drive, "resonant")
     assert q.delta == 0.0
     assert q.theta == pytest.approx(math.pi / 2, abs=1e-15)
     assert q.lam == pytest.approx(drive.eta, rel=1e-15)
@@ -95,17 +95,17 @@ def test_resonant_probe_gives_right_angle(transmon):
 def test_weak_coupling_limit(transmon):
     w_eg = omega_eg(transmon, transmon.phi_res)
     tiny = DriveParams(1.0, w_eg - ghz(0.2))  # 1 rad/s coupling, positive detuning
-    q = regime_quantities(transmon, tiny, transmon.phi_res, "resonant")
+    q = regime_quantities(transmon, tiny, "resonant")
     assert q.theta == pytest.approx(0.0, abs=1e-8)
     assert q.lam == pytest.approx(abs(q.delta), rel=1e-12)
     below = DriveParams(1.0, w_eg + ghz(0.2))  # negative detuning
-    q2 = regime_quantities(transmon, below, transmon.phi_res, "resonant")
+    q2 = regime_quantities(transmon, below, "resonant")
     assert q2.theta == pytest.approx(math.pi, abs=1e-8)
 
 
 def test_dispersive_rate_fixture(transmon):
     drive = DriveParams.from_ghz(0.1, 4.505)
-    q = regime_quantities(transmon, drive, transmon.phi_disp, "dispersive")
+    q = regime_quantities(transmon, drive, "dispersive")
     # independent arithmetic in GHz
     w_d = (math.sqrt(800.0 * abs(math.cos(math.pi * 0.49))) - 1.0) * 0.5
     want = (w_d - 4.505) / 2.0 + 0.1**2 / (w_d - 4.505)
@@ -120,21 +120,21 @@ def test_dispersive_exact_resonance_raises(transmon):
     w_d = omega_eg(transmon, transmon.phi_disp)
     drive = DriveParams(ghz(0.1), w_d)
     with pytest.raises(DomainError, match=re.escape(f"{to_ghz(w_d):.9g} GHz")):
-        regime_quantities(transmon, drive, transmon.phi_disp, "dispersive")
+        regime_quantities(transmon, drive, "dispersive")
 
 
 def test_dispersive_margin_warns(transmon):
     w_d = omega_eg(transmon, transmon.phi_disp)
     drive = DriveParams(ghz(0.1), w_d + ghz(0.5))  # only 5 eta away
     with pytest.warns(UserWarning, match="far-detuning"):
-        regime_quantities(transmon, drive, transmon.phi_disp, "dispersive")
+        regime_quantities(transmon, drive, "dispersive")
     # a grid gets the same warning, counting the points within the margin
     grid = DriveParams(ghz(0.1), w_d + ghz(np.array([0.5, 0.8, 2.0])))
     with pytest.warns(UserWarning, match="^2 of 3 probe frequencies .*far-detuning"):
-        regime_quantities(transmon, grid, transmon.phi_disp, "dispersive")
+        regime_quantities(transmon, grid, "dispersive")
 
 
 def test_unknown_regime_rejected(transmon):
     drive = DriveParams.from_ghz(0.1, 4.5)
     with pytest.raises(ValueError):
-        regime_quantities(transmon, drive, 0.46, "adiabatic")
+        regime_quantities(transmon, drive, "adiabatic")

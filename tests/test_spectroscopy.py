@@ -93,7 +93,7 @@ def test_cw_single_peaked_over_window():
 def lorentzian_spectrum(step=ghz(0.0005), half_width=2 * ETA):
     grid = make_grid(W_RES - ghz(1.0), W_RES + ghz(1.0), step)
     p = half_width**2 / ((grid - W_RES) ** 2 + half_width**2)
-    return Spectrum(grid, p, "cw", {})
+    return Spectrum(grid, p, "cw")
 
 
 def test_metrics_on_exact_lorentzian():
@@ -105,7 +105,7 @@ def test_metrics_on_exact_lorentzian():
 
 def test_metrics_scale_invariance():
     spec = lorentzian_spectrum()
-    scaled = Spectrum(spec.omega, 0.5 * spec.p_e, spec.scheme_tag, {})
+    scaled = Spectrum(spec.omega, 0.5 * spec.p_e, spec.scheme_tag)
     a, b = metrics(spec), metrics(scaled)
     assert b.peak_omega == pytest.approx(a.peak_omega, rel=1e-12)
     assert b.fwhm == pytest.approx(a.fwhm, rel=1e-12)
@@ -125,7 +125,7 @@ def test_metrics_boundary_peak_raises():
 
 
 def test_metrics_needs_three_points():
-    spec = Spectrum(np.array([1.0, 2.0]), np.array([0.1, 0.2]), "cw", {})
+    spec = Spectrum(np.array([1.0, 2.0]), np.array([0.1, 0.2]), "cw")
     with pytest.raises(NoPeakError):
         metrics(spec)
 
@@ -174,8 +174,8 @@ def test_single_point_sweep_matches_scalar_average():
     grid = np.array([W_RES])
     spec = sweep("double", TRANSMON, ETA, grid, default_avg())
     drive = DriveParams(ETA, W_RES)
-    q_res = regime_quantities(TRANSMON, drive, TRANSMON.phi_res, "resonant")
-    q_disp = regime_quantities(TRANSMON, drive, TRANSMON.phi_disp, "dispersive")
+    q_res = regime_quantities(TRANSMON, drive, "resonant")
+    q_disp = regime_quantities(TRANSMON, drive, "dispersive")
     assert spec.p_e[0] == pytest.approx(
         pe_average(2, q_res.lam, q_res.theta, q_disp.delta_d, default_avg()),
         rel=1e-12)
@@ -215,9 +215,8 @@ def test_grid_quantities_match_pointwise_route():
     lam, theta, delta_d = _grid_quantities(TRANSMON, ETA, grid)
     for i, w in enumerate(grid):
         drive = DriveParams(ETA, w)
-        q_res = regime_quantities(TRANSMON, drive, TRANSMON.phi_res, "resonant")
-        q_disp = regime_quantities(TRANSMON, drive, TRANSMON.phi_disp,
-                                   "dispersive")
+        q_res = regime_quantities(TRANSMON, drive, "resonant")
+        q_disp = regime_quantities(TRANSMON, drive, "dispersive")
         assert lam[i] == q_res.lam
         assert theta[i] == q_res.theta
         assert delta_d[i] == q_disp.delta_d
@@ -252,26 +251,15 @@ def test_tags_naming_the_same_train_give_identical_spectra():
 
 def test_spectrum_validation():
     with pytest.raises(ValueError):
-        Spectrum(np.array([1.0, 1.0]), np.array([0.1, 0.2]), "cw", {})
+        Spectrum(np.array([1.0, 1.0]), np.array([0.1, 0.2]), "cw")
     with pytest.raises(ValueError):
-        Spectrum(np.array([1.0, 2.0]), np.array([0.1, 1.5]), "cw", {})
+        Spectrum(np.array([1.0, 2.0]), np.array([0.1, 1.5]), "cw")
 
 
 def test_spectrum_rejects_nan_probabilities():
     with pytest.raises(ValueError, match="outside"):
         Spectrum(np.array([1.0, 2.0, 3.0, 4.0]),
                  np.array([0.1, np.nan, 0.2, 0.0]), "x")
-
-
-def test_snapshot_records_inputs():
-    grid = make_grid(W_RES - ghz(0.2), W_RES + ghz(0.2), ghz(0.05))
-    spec = sweep("double", TRANSMON, ETA, grid, default_avg())
-    snap = spec.params_snapshot
-    assert snap["scheme"] == "double"
-    assert snap["ec_ghz"] == pytest.approx(0.5)
-    assert snap["eta_ghz"] == pytest.approx(0.1)
-    assert snap["ratio_r"] == 0.001
-    assert snap["n_points"] == grid.size
 
 
 def test_sweep_refined_merges_monotonically():
@@ -283,7 +271,6 @@ def test_sweep_refined_merges_monotonically():
     m = metrics(spec)
     near = np.abs(spec.omega - m.peak_omega) < m.fwhm
     assert np.min(np.diff(spec.omega[near])) < ghz(0.001)
-    assert spec.params_snapshot["refine_step_ghz"] == pytest.approx(0.0005)
 
 
 def test_triple_sweep_equals_the_sweeps_of_its_halves():
