@@ -23,6 +23,7 @@ resonance; a Monte Carlo oracle on the numeric composer checks them all.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +54,7 @@ FOLD_TOL = 1e-12
 # raw averages further outside [0, 1] than this indicate a broken formula
 RANGE_TOL = 1e-8
 # Monte Carlo samples composed per slice; bounds the oracle's temporaries
-MC_CHUNK = 2**15
+MC_CHUNK = 2**13
 
 # cells per unit of b of the moment table, and the end of the table; the
 # asymptotic series sum_{j>=2} a_j b^(-2j) takes over for |b| >= MOMENT_B
@@ -400,42 +401,60 @@ def mc_oracle(n_res: int, q_res: RegimeQuantities, q_disp: RegimeQuantities,
     form it validates. The (seed, n_samples) pair maps to the result
     deterministically.
 
-    All durations are drawn in one call, then composed in slices of
-    ``MC_CHUNK`` samples into one population array whose mean and standard
-    error are taken whole. With w usable CPUs (at most the slice count),
-    slice i is composed by worker i mod w: worker 0 is the calling thread,
-    the others are pool threads, and numpy releases the interpreter lock
-    inside the composer's array operations. The composer treats each sample
-    on its own and each slice writes only its own part of the population
-    array, so neither the slicing nor the worker count changes a bit of the
-    result. Each slice in flight holds about 7 MiB of composer temporaries;
-    only the durations and the populations, 8 bytes per sample each, grow
-    with ``n_samples``.
+    The samples are handled in slices of ``MC_CHUNK``. With w usable CPUs
+    (at most the slice count) there are w workers: the calling thread and
+    w - 1 threads started here. A worker claims the next slice and draws its
+    durations under one lock, so the random stream is read in slice order
+    and the draws equal one whole draw bit for bit; it then scales and
+    composes them outside the lock into its own part of one population
+    array, whose mean and standard error are taken whole. numpy releases
+    the interpreter lock inside the draw and the composer's array
+    operations, so one worker draws while the others compose. The composer
+    treats each sample on its own, so neither the slicing nor the worker
+    count changes a bit of the result. If a slice raises, no worker claims
+    another, every thread is joined, and the first exception is raised.
+    No array of all the durations is held: each slice in flight holds its
+    own durations and about 216 bytes per sample of composer temporaries,
+    about 1.7 MiB, and only the populations, 8 bytes per sample, grow with
+    ``n_samples``.
     """
     if n_res < 1:
         raise ValueError(f"need at least one resonant segment, got {n_res}")
-    tau = sample_maxwell(np.random.default_rng(mc.rng_seed), mc.n_samples)
-    tau *= avg.s
+    rng = np.random.default_rng(mc.rng_seed)
     pe = np.empty(mc.n_samples)
-
-    def compose(starts: range) -> None:
-        for start in starts:
-            piece = slice(start, start + MC_CHUNK)
-            train = BiasTrain(n_res, tau[piece], avg.ratio_r)
-            pe[piece] = compose_train(q_res, q_disp, drive, train).p_e()
-
     starts = range(0, mc.n_samples, MC_CHUNK)
-    workers = min(_usable_cpus(), len(starts))
-    if workers == 1:
-        compose(starts)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            others = [pool.submit(compose, starts[w::workers])
-                      for w in range(1, workers)]
-            compose(starts[::workers])
-            for future in others:
-                future.result()
+    unclaimed = iter(starts)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def compose() -> None:
+        try:
+            while True:
+                with lock:
+                    start = None if errors else next(unclaimed, None)
+                    if start is None:
+                        return
+                    tau = sample_maxwell(rng, min(MC_CHUNK, mc.n_samples - start))
+                tau *= avg.s
+                train = BiasTrain(n_res, tau, avg.ratio_r)
+                pe[start:start + tau.size] = compose_train(
+                    q_res, q_disp, drive, train).p_e()
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
+
+    threads = []
+    try:
+        for _ in range(min(_usable_cpus(), len(starts)) - 1):
+            thread = threading.Thread(target=compose)
+            thread.start()
+            threads.append(thread)
+        compose()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     mean = float(pe.mean())
     if mc.n_samples == 1:
         return mean, 0.0

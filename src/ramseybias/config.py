@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .optimizer import seed_points
 from .qubit import TransmonParams
-from .spectroscopy import parse_scheme
+from .spectroscopy import grid_points, parse_scheme
 from .units import RAD_PER_GHZ, RAD_PER_MHZ, ns
 
 TEMPLATE = """\
@@ -128,6 +128,13 @@ class _Section:
         except ValueError:
             _fail(self.name, key, f"expected a finite number, got {value!r}")
 
+    def scaled(self, key: str, unit: float, default: float | None = None) -> float:
+        """``number(key) * unit``, refused where the product overflows."""
+        value = self.number(key, default) * unit
+        if not np.isfinite(value):
+            _fail(self.name, key, "too large: overflows in internal units")
+        return value
+
     def integer(self, key: str, default: int | None = None) -> int:
         value = self.text(key, None if default is None else str(default))
         try:
@@ -201,7 +208,7 @@ def load_config(path: str) -> RunConfig:
         phi_disp=transmon_sec.number("phi_disp"),
     )
 
-    eta = _Section(parser, "drive").number("eta_ghz") * RAD_PER_GHZ
+    eta = _Section(parser, "drive").scaled("eta_ghz", RAD_PER_GHZ)
     if eta <= 0:
         _fail("drive", "eta_ghz", "must be positive")
 
@@ -214,16 +221,22 @@ def load_config(path: str) -> RunConfig:
         _fail("scheme", "kind", str(exc))
 
     sweep_sec = _Section(parser, "sweep")
-    omega_min = sweep_sec.number("min_ghz") * RAD_PER_GHZ
-    omega_max = sweep_sec.number("max_ghz") * RAD_PER_GHZ
+    omega_min = sweep_sec.scaled("min_ghz", RAD_PER_GHZ)
+    omega_max = sweep_sec.scaled("max_ghz", RAD_PER_GHZ)
     if not omega_min > 0:
         _fail("sweep", "min_ghz", "probe frequencies must be positive")
     if not omega_max > omega_min:
         _fail("sweep", "max_ghz", "empty grid: max_ghz must exceed min_ghz")
-    coarse_step = sweep_sec.number("step_mhz", 1.0) * RAD_PER_MHZ
-    refine_step = sweep_sec.number("refine_step_mhz", 0.1) * RAD_PER_MHZ
-    if coarse_step <= 0 or refine_step <= 0:
-        _fail("sweep", "step_mhz", "grid steps must be positive")
+    coarse_step = sweep_sec.scaled("step_mhz", RAD_PER_MHZ, 1.0)
+    refine_step = sweep_sec.scaled("refine_step_mhz", RAD_PER_MHZ, 0.1)
+    for key, step in (("step_mhz", coarse_step), ("refine_step_mhz", refine_step)):
+        if step <= 0:
+            _fail("sweep", key, "grid steps must be positive")
+        # the refined pass spans at most the whole window
+        try:
+            grid_points(omega_min, omega_max, step)
+        except ValueError as exc:
+            _fail("sweep", key, str(exc))
     baseline_shift = sweep_sec.flag("baseline_shift", True)
     cw_amplitude = sweep_sec.number("cw_amplitude", 0.5)
     if cw_amplitude <= 0:
@@ -252,8 +265,10 @@ def load_config(path: str) -> RunConfig:
         opt_sec = _Section(parser, "optimizer")
         if opt_sec.has("k_values"):
             k_values = _parse_values(opt_sec.text("k_values"), "optimizer", "k_values")
-            if any(k <= 0 for k in k_values):
-                _fail("optimizer", "k_values", "harmonic multiples must be positive")
+            try:
+                seed_points(eta, k_values)
+            except ValueError as exc:
+                _fail("optimizer", "k_values", str(exc))
         if opt_sec.has("s_values_ns"):
             raw_s = _parse_values(opt_sec.text("s_values_ns"), "optimizer", "s_values_ns")
             if any(v <= 0 for v in raw_s):
@@ -265,7 +280,7 @@ def load_config(path: str) -> RunConfig:
                 _fail("optimizer", "r_values", "ratios must be non-negative")
         p_min = opt_sec.number("p_min", 0.3)
         if opt_sec.has("shift_max_mhz"):
-            shift_max = opt_sec.number("shift_max_mhz") * RAD_PER_MHZ
+            shift_max = opt_sec.scaled("shift_max_mhz", RAD_PER_MHZ)
             if shift_max <= 0:
                 _fail("optimizer", "shift_max_mhz", "must be positive")
 

@@ -17,8 +17,8 @@ The composer evaluates a Monte Carlo ensemble of durations as whole-array
 products: the trigonometric factors of a sample are computed once, and each
 later segment costs a few complex multiplications per sample. Its
 temporaries peak at about 216 bytes per sample for any train order, so one
-slice of 2^15 samples, as ``averaging.mc_oracle`` composes them, holds
-about 7 MiB.
+slice of 2^13 samples, as ``averaging.mc_oracle`` composes them, holds
+about 1.7 MiB.
 """
 
 from __future__ import annotations

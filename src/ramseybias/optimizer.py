@@ -82,7 +82,11 @@ def seed_points(eta: float, k_values: list[float]) -> list[float]:
     for k in k_values:
         if not k > 0:
             raise ValueError(f"harmonic multiple must be positive, got {k}")
-    return [SEED_PHASE / (k * eta) for k in k_values]
+    seeds = [SEED_PHASE / (k * eta) for k in k_values]
+    for k, s in zip(k_values, seeds):
+        if not math.isfinite(s):
+            raise ValueError(f"0.68pi/(k eta) overflows at k = {k}, eta = {eta}")
+    return seeds
 
 
 def _dominates(a: SpectrumMetrics, b: SpectrumMetrics) -> bool:

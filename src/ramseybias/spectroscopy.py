@@ -25,6 +25,9 @@ from .units import to_ghz
 
 CW_AMPLITUDE_DEFAULT = 0.5
 
+# most points of one sweep grid: bounds a sweep's arrays (8 MB each)
+MAX_GRID_POINTS = 10**6
+
 # detection threshold for fringe listing, as a fraction of the peak value
 FRINGE_THRESHOLD = 0.01
 
@@ -158,14 +161,26 @@ def sweep(scheme: str, transmon: TransmonParams, eta: float,
     return Spectrum(grid, p, scheme)
 
 
-def make_grid(omega_min: float, omega_max: float, step: float) -> np.ndarray:
-    """Uniform grid from omega_min to omega_max inclusive (within a step)."""
-    if step <= 0:
+def grid_points(omega_min: float, omega_max: float, step: float) -> int:
+    """Point count of ``make_grid(omega_min, omega_max, step)``.
+
+    Raises ValueError for a step that is not positive, an empty window, or
+    a grid of more than ``MAX_GRID_POINTS`` points.
+    """
+    if not step > 0:
         raise ValueError(f"grid step must be positive, got {step}")
     if not omega_max > omega_min:
         raise ValueError("empty grid: sweep window maximum must exceed minimum")
-    n = int(np.floor((omega_max - omega_min) / step + 1e-9))
-    return omega_min + step * np.arange(n + 1)
+    steps = (omega_max - omega_min) / step + 1e-9
+    if not steps < MAX_GRID_POINTS:
+        raise ValueError(f"grid exceeds the limit of {MAX_GRID_POINTS:,} points "
+                         "per sweep")
+    return int(np.floor(steps)) + 1
+
+
+def make_grid(omega_min: float, omega_max: float, step: float) -> np.ndarray:
+    """Uniform grid from omega_min to omega_max inclusive (within a step)."""
+    return omega_min + step * np.arange(grid_points(omega_min, omega_max, step))
 
 
 def _parabolic_peak(x, y, i) -> tuple[float, float]:

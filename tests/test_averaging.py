@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -97,6 +98,19 @@ def test_sampler_matches_moments():
     assert x.mean() == pytest.approx(mean, abs=5 * math.sqrt(var / x.size))
     assert (x**2).mean() == pytest.approx(2.0, abs=0.01)
     assert np.all(x >= 0)
+
+
+@pytest.mark.parametrize("seed", [3, 42, 12345])
+def test_sliced_draws_equal_one_whole_draw(seed):
+    # mc_oracle draws its durations slice by slice from one stream; the
+    # slices must be the whole draw's bits, the partial last one included
+    chunk = averaging.MC_CHUNK
+    n = 5 * chunk // 2 + 17
+    whole = sample_maxwell(np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    sliced = np.concatenate([sample_maxwell(rng, min(chunk, n - start))
+                             for start in range(0, n, chunk)])
+    assert np.array_equal(sliced.view(np.uint64), whole.view(np.uint64))
 
 
 # ---------------------------------------------------------------- moment
@@ -442,16 +456,39 @@ def test_mc_single_sample_convention():
     assert mean == pytest.approx(single, abs=1e-12)
 
 
-def test_mc_chunking_changes_no_bits():
-    # about 2.5 slices, the last one partial
+def test_mc_chunking_changes_no_bits(monkeypatch):
+    # about 2.5 slices, the last one partial, against one whole draw
     drive, q_res, q_disp = quantities(W_RES + 0.7 * ETA)
     avg = AveragingParams(1.1e-9, 0.02)
     n = 5 * averaging.MC_CHUNK // 2 + 17
-    mean, err = mc_oracle(3, q_res, q_disp, drive, avg, McConfig(n, 5))
     tau = avg.s * sample_maxwell(np.random.default_rng(5), n)
     pe = compose_train(q_res, q_disp, drive, BiasTrain(3, tau, avg.ratio_r)).p_e()
-    assert mean == float(pe.mean())
-    assert err == float(pe.std(ddof=1) / np.sqrt(n))
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(averaging, "_usable_cpus", lambda: workers)
+        mean, err = mc_oracle(3, q_res, q_disp, drive, avg, McConfig(n, 5))
+        assert mean == float(pe.mean()), workers
+        assert err == float(pe.std(ddof=1) / np.sqrt(n)), workers
+
+
+def test_mc_oracle_draws_the_slices_in_stream_order(monkeypatch):
+    # the first draw is slow: a worker that claimed a later slice must not
+    # read the stream before it
+    drive, q_res, q_disp = quantities(W_RES + 0.7 * ETA)
+    avg = AveragingParams(1.1e-9, 0.02)
+    n = 5 * averaging.MC_CHUNK // 2 + 17
+    reference = mc_oracle(2, q_res, q_disp, drive, avg, McConfig(n, 8))
+    draw = averaging.sample_maxwell
+    first = threading.Event()
+
+    def slow_first(*args):
+        if not first.is_set():
+            first.set()
+            time.sleep(0.05)
+        return draw(*args)
+
+    monkeypatch.setattr(averaging, "sample_maxwell", slow_first)
+    monkeypatch.setattr(averaging, "_usable_cpus", lambda: 3)
+    assert mc_oracle(2, q_res, q_disp, drive, avg, McConfig(n, 8)) == reference
 
 
 @pytest.mark.parametrize("n_res", [2, 3, 6])
@@ -475,20 +512,25 @@ def test_mc_oracle_is_independent_of_the_worker_count(monkeypatch, n_res):
 
 
 def _fail_off_the_main_thread(compose):
+    # the calling thread composes nothing until a started thread has
+    # claimed a slice and raised, so a started thread always raises first
+    raised = threading.Event()
+
     def wrapper(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise FloatingPointError("odd slice")
-        return compose(*args)
+        if threading.current_thread() is threading.main_thread():
+            raised.wait(timeout=60)
+            return compose(*args)
+        raised.set()
+        raise FloatingPointError("pool slice")
     return wrapper
 
 
 def test_mc_oracle_raises_what_a_pool_slice_raised(monkeypatch):
-    # with two workers the pool thread composes the odd slices
     drive, q_res, q_disp = quantities(W_RES)
     monkeypatch.setattr(averaging, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(averaging, "compose_train",
                         _fail_off_the_main_thread(averaging.compose_train))
-    with pytest.raises(FloatingPointError, match="odd slice"):
+    with pytest.raises(FloatingPointError, match="pool slice"):
         mc_oracle(2, q_res, q_disp, drive, AveragingParams(1e-9, 0.01),
                   McConfig(3 * averaging.MC_CHUNK, 1))
 
@@ -506,6 +548,37 @@ def test_mc_oracle_leaves_no_thread_running(monkeypatch):
         mc_oracle(2, q_res, q_disp, drive, avg,
                   McConfig(3 * averaging.MC_CHUNK, 1))
     assert threading.active_count() == before
+
+
+def test_mc_oracle_stops_claiming_after_a_failed_slice(monkeypatch):
+    # 8 slices on 3 workers; the third slice composed raises at once while
+    # the others take 20 ms each, so the failure is recorded long before
+    # another slice could be claimed
+    drive, q_res, q_disp = quantities(W_RES)
+    compose = averaging.compose_train
+    lock = threading.Lock()
+    calls = []
+
+    def third_fails(*args):
+        with lock:
+            calls.append(args[3].tau.size)
+            third = len(calls) == 3
+        if third:
+            raise FloatingPointError("third slice")
+        time.sleep(0.02)
+        return compose(*args)
+
+    monkeypatch.setattr(averaging, "MC_CHUNK", 1000)
+    monkeypatch.setattr(averaging, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(averaging, "compose_train", third_fails)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="third slice"):
+        mc_oracle(2, q_res, q_disp, drive, AveragingParams(1e-9, 0.01),
+                  McConfig(7500, 1))
+    assert threading.active_count() == before
+    # slices in flight beside the failed one finish, at most one per other
+    # worker; none is claimed after it (of 8)
+    assert 3 <= len(calls) <= 5
 
 
 def test_mc_deterministic():

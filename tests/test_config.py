@@ -175,3 +175,42 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, command, section, key,
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert f"[{section}] {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value, blamed", [
+    ("spectrum", "eta_ghz", "1e300", "[drive] eta_ghz"),
+    ("spectrum", "min_ghz", "1e308", "[sweep] min_ghz"),
+    ("spectrum", "max_ghz", "1e308", "[sweep] max_ghz"),
+    ("spectrum", "step_mhz", "1e308", "[sweep] step_mhz"),
+    ("spectrum", "refine_step_mhz", "1e308", "[sweep] refine_step_mhz"),
+    ("optimize", "shift_max_mhz", "1e308", "[optimizer] shift_max_mhz"),
+    # the 0.68pi/<k>eta rule overflows instead
+    ("spectrum", "eta_ghz", "1e-320", "[averaging] s"),
+    ("optimize", "k_values", "1e-320", "[optimizer] k_values"),
+])
+def test_overflowing_numbers_exit_2(tmp_path, capsys, command, key, value,
+                                    blamed):
+    text, hits = re.subn(rf"^{key} = .*$", f"{key} = {value}", TEMPLATE,
+                         flags=re.M)
+    assert hits == 1
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"{blamed}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("step_mhz", "1e-300", "limit of 1,000,000 points"),
+    ("refine_step_mhz", "1e-300", "limit of 1,000,000 points"),
+    # the template's 2 GHz window in exactly 1e6 steps: one point too many
+    ("step_mhz", "0.002", "limit of 1,000,000 points"),
+    ("refine_step_mhz", "0.002", "limit of 1,000,000 points"),
+    ("refine_step_mhz", "0", "must be positive"),
+])
+def test_grid_point_ceiling_exits_2(tmp_path, capsys, key, value, message):
+    text, hits = re.subn(rf"^{key} = .*$", f"{key} = {value}", TEMPLATE,
+                         flags=re.M)
+    assert hits == 1
+    cfg = write_cfg(tmp_path, text)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"[sweep] {key}: " in err and message in err

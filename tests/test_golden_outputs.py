@@ -25,6 +25,10 @@ CONFIGS = {
     "triple": TRIPLE,
     "general4": TRIPLE.replace("kind = triple   ", "kind = general:4   "),
     "validate": TEMPLATE.replace("n_samples = 1000000", "n_samples = 20000"),
+    # several Monte Carlo slices, the last one partial, at slices of 2^15
+    # and of 2^13 samples
+    "validate_slices": TEMPLATE.replace("n_samples = 1000000",
+                                        "n_samples = 81937"),
 }
 
 GOLDEN = {
@@ -48,6 +52,8 @@ GOLDEN = {
         "spectrum.csv": "bd2cbf945f74e7d91cd682858ca1a594"},
     ("validate", "validate"): {
         "validation_report.txt": "25daee560a2359f97959b63ca2888970"},
+    ("validate_slices", "validate"): {
+        "validation_report.txt": "dafdcd19316789320905c315d338dce9"},
 }
 
 
@@ -65,6 +71,7 @@ def test_variants_edit_the_template():
     assert "r = 0.045" in TRIPLE and "\nshift_max_mhz" not in TRIPLE
     assert "kind = general:4" in CONFIGS["general4"]
     assert "n_samples = 20000" in CONFIGS["validate"]
+    assert "n_samples = 81937" in CONFIGS["validate_slices"]
 
 
 @pytest.mark.parametrize("config, command", sorted(GOLDEN))

@@ -36,6 +36,8 @@ def test_seed_points_rule():
         seed_points(ETA, [math.nan])
     with pytest.raises(ValueError, match="coupling"):
         seed_points(math.nan, [3.0])
+    with pytest.raises(ValueError, match="overflows at k = 1e-320"):
+        seed_points(ETA, [3.0, 1e-320])
 
 
 def test_search_space_validation():

@@ -13,9 +13,9 @@ from ramseybias import (AveragingParams, DomainError, DriveParams,
                         make_grid, metrics, omega_eg, pe_average,
                         regime_quantities, sweep, sweep_refined)
 from ramseybias.averaging import _pe_double_formula, _pe_grid_numeric
-from ramseybias.spectroscopy import (FRINGE_THRESHOLD, _grid_quantities,
-                                     _parabolic_peak, parse_scheme,
-                                     peak_location)
+from ramseybias.spectroscopy import (FRINGE_THRESHOLD, MAX_GRID_POINTS,
+                                     _grid_quantities, _parabolic_peak,
+                                     grid_points, parse_scheme, peak_location)
 from ramseybias.units import ghz, to_ghz, to_mhz
 
 TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)
@@ -33,6 +33,17 @@ def default_avg(s=S3, r=0.001):
 def test_make_grid_endpoints():
     g = make_grid(0.0, 1.0, 0.25)
     assert np.allclose(g, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def test_grid_points_ceiling():
+    top = MAX_GRID_POINTS
+    assert grid_points(0.0, top - 1.0, 1.0) == top
+    assert grid_points(0.0, 1.0, 0.25) == make_grid(0.0, 1.0, 0.25).size
+    for hi, step in ((float(top), 1.0), (1.0, 1e-300), (1e308, 1e-10)):
+        with pytest.raises(ValueError, match="limit of 1,000,000 points"):
+            grid_points(0.0, hi, step)
+        with pytest.raises(ValueError, match="limit of 1,000,000 points"):
+            make_grid(0.0, hi, step)
 
 
 def test_make_grid_rejects_empty_window():
