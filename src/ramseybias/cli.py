@@ -18,13 +18,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .averaging import AveragingParams, McConfig
-from .config import RunConfig, TEMPLATE, load_config
+from .averaging import AveragingParams
+from .config import RunConfig, TEMPLATE, checked, load_config
 from .errors import ConfigError, DomainError, InfeasibleError, MetricsError
-from .optimizer import ObjectiveConfig, SearchSpace, optimize, seed_points
+from .optimizer import optimize
 from .spectroscopy import Spectrum, SpectrumMetrics, metrics, sweep_refined
 from .units import RAD_PER_GHZ, to_ghz, to_mhz, to_ns
 from .validation import run_validation
@@ -57,10 +58,15 @@ def _quantized_spectrum(spec: Spectrum) -> tuple[Spectrum, list[str]]:
     """Spectrum rounded to printed precision, plus its printed CSV rows.
 
     Each value is formatted once, and the rounded curve is what re-reading
-    the rows gives.
+    the rows gives. Two grid points that print alike are a ConfigError.
     """
     rows = [f"{_fmt(g)},{_fmt(p)}" for g, p in zip(to_ghz(spec.omega), spec.p_e)]
     ghz_vals, p_vals = _quantize(rows).T
+    same = np.flatnonzero(np.diff(ghz_vals) <= 0)
+    if same.size:
+        raise ConfigError(
+            f"[sweep] step_mhz: two points of the merged coarse and refine "
+            f"grids both print as {_fmt(ghz_vals[same[0]])} GHz")
     return Spectrum(ghz_vals * RAD_PER_GHZ, p_vals.copy(), spec.scheme_tag), rows
 
 
@@ -126,16 +132,11 @@ def cmd_baseline(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
-    if cfg.r_values is None or (cfg.k_values is None and cfg.s_values is None):
+    if cfg.scheme == "cw":
+        raise ConfigError("[scheme] kind: cannot optimize the cw scheme")
+    if cfg.search is None:
         raise ConfigError(
             "[optimizer] k_values (or s_values_ns) and r_values are required")
-    s_grid: list[float] = []
-    if cfg.k_values:
-        s_grid.extend(seed_points(cfg.eta, list(cfg.k_values)))
-    if cfg.s_values:
-        s_grid.extend(cfg.s_values)
-    space = SearchSpace(tuple(s_grid), tuple(cfg.r_values), cfg.scheme)
-    objective = ObjectiveConfig(p_min=cfg.p_min, shift_max=cfg.shift_max)
 
     trace_path = os.path.join(out_dir, "optimize_trace.csv")
     summary_path = os.path.join(out_dir, "optimize_summary.txt")
@@ -149,9 +150,9 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
                 f"{_fmt(to_mhz(m.fwhm))},{'true' if on_front else 'false'}")
 
     try:
-        result = optimize(space, cfg.transmon, cfg.eta, cfg.omega_min,
+        result = optimize(cfg.search, cfg.transmon, cfg.eta, cfg.omega_min,
                           cfg.omega_max, cfg.coarse_step, cfg.refine_step,
-                          objective, cw_amplitude=cfg.cw_amplitude)
+                          cfg.objective, cw_amplitude=cfg.cw_amplitude)
     except InfeasibleError as exc:
         lines = ["status = infeasible", f"reason = {exc}"]
         pt = exc.best_peak_point
@@ -192,9 +193,8 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_validate(cfg: RunConfig, out_dir: str) -> int:
-    report = run_validation(cfg.transmon, cfg.eta,
-                            McConfig(cfg.n_samples, cfg.seed),
-                            s=cfg.s, ratio_r=cfg.ratio_r)
+    report = run_validation(cfg.transmon, cfg.eta, cfg.mc, s=cfg.s,
+                            ratio_r=cfg.ratio_r)
     path = os.path.join(out_dir, "validation_report.txt")
     _atomic_write(path, report.render())
     print(f"wrote {path}")
@@ -254,9 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
-            cfg.seed = args.seed
+            cfg.mc = checked("--seed", replace, cfg.mc, rng_seed=args.seed)
         out_dir = args.out if args.out is not None else cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "spectrum":

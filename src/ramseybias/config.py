@@ -4,18 +4,23 @@ All frequencies in the file are cyclic GHz (steps in MHz where named so),
 times are nanoseconds; parsing converts to the angular/seconds units used
 internally. The template emitted by ``ramseybias init`` reproduces the
 headline double-resonance operating point.
+
+``load_config`` builds the records the commands run on (``SearchSpace``,
+``ObjectiveConfig``, ``McConfig``); each value is checked once, by its
+record where it has one, and a refusal names its ``[section] key``.
 """
 
 from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .averaging import McConfig
 from .errors import ConfigError
-from .optimizer import seed_points
+from .optimizer import ObjectiveConfig, SearchSpace, seed_points
 from .qubit import TransmonParams
 from .spectroscopy import grid_points, parse_scheme
 from .units import RAD_PER_GHZ, RAD_PER_MHZ, ns
@@ -70,7 +75,8 @@ _S_RULE = re.compile(r"^\s*0\.68\s*pi\s*/\s*([0-9]*\.?[0-9]+)\s*eta\s*$")
 
 @dataclass
 class RunConfig:
-    """Parsed configuration with all values in internal units."""
+    """Parsed configuration with all values in internal units; ``search``
+    is None when ``[optimizer]`` gives no grids."""
 
     transmon: TransmonParams
     eta: float
@@ -83,19 +89,23 @@ class RunConfig:
     cw_amplitude: float
     s: float | None
     ratio_r: float | None
-    k_values: tuple[float, ...] | None
-    s_values: tuple[float, ...] | None
-    r_values: tuple[float, ...] | None
-    p_min: float
-    shift_max: float | None
-    n_samples: int
-    seed: int
+    search: SearchSpace | None
+    objective: ObjectiveConfig
+    mc: McConfig
     out_dir: str
-    raw: dict = field(default_factory=dict)
 
 
 def _fail(section: str, key: str, message: str):
     raise ConfigError(f"[{section}] {key}: {message}")
+
+
+def checked(key: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError raised as a ConfigError
+    naming ``key``, the ``[section] key`` the refused value came from."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _finite(text: str) -> float:
@@ -215,10 +225,7 @@ def load_config(path: str) -> RunConfig:
     scheme = "double"
     if parser.has_section("scheme"):
         scheme = _Section(parser, "scheme").text("kind", "double")
-    try:
-        parse_scheme(scheme)
-    except ValueError as exc:
-        _fail("scheme", "kind", str(exc))
+    checked("[scheme] kind", parse_scheme, scheme)
 
     sweep_sec = _Section(parser, "sweep")
     omega_min = sweep_sec.scaled("min_ghz", RAD_PER_GHZ)
@@ -230,27 +237,20 @@ def load_config(path: str) -> RunConfig:
     coarse_step = sweep_sec.scaled("step_mhz", RAD_PER_MHZ, 1.0)
     refine_step = sweep_sec.scaled("refine_step_mhz", RAD_PER_MHZ, 0.1)
     for key, step in (("step_mhz", coarse_step), ("refine_step_mhz", refine_step)):
-        if step <= 0:
-            _fail("sweep", key, "grid steps must be positive")
         # the refined pass spans at most the whole window
-        try:
-            grid_points(omega_min, omega_max, step)
-        except ValueError as exc:
-            _fail("sweep", key, str(exc))
+        checked(f"[sweep] {key}", grid_points, omega_min, omega_max, step)
     baseline_shift = sweep_sec.flag("baseline_shift", True)
     cw_amplitude = sweep_sec.number("cw_amplitude", 0.5)
-    if cw_amplitude <= 0:
-        _fail("sweep", "cw_amplitude", "must be positive")
+    if not 0 < cw_amplitude <= 1:
+        _fail("sweep", "cw_amplitude", "must lie in (0, 1]")
 
     s_value = None
     ratio_r = None
     if parser.has_section("averaging"):
         avg_sec = _Section(parser, "averaging")
         if avg_sec.has("s"):
-            try:
-                s_value = parse_time_constant(avg_sec.text("s"), eta)
-            except ValueError as exc:
-                _fail("averaging", "s", str(exc))
+            s_value = checked("[averaging] s", parse_time_constant,
+                              avg_sec.text("s"), eta)
             if s_value <= 0:
                 _fail("averaging", "s", "time constant must be positive")
         if avg_sec.has("r"):
@@ -258,55 +258,54 @@ def load_config(path: str) -> RunConfig:
             if ratio_r < 0:
                 _fail("averaging", "r", "must be non-negative")
 
-    k_values = s_values = r_values = None
-    p_min = 0.3
-    shift_max = None
+    search = None
+    objective = ObjectiveConfig()
     if parser.has_section("optimizer"):
         opt_sec = _Section(parser, "optimizer")
+        s_grid: list[float] = []
         if opt_sec.has("k_values"):
             k_values = _parse_values(opt_sec.text("k_values"), "optimizer", "k_values")
-            try:
-                seed_points(eta, k_values)
-            except ValueError as exc:
-                _fail("optimizer", "k_values", str(exc))
+            s_grid.extend(checked("[optimizer] k_values", seed_points, eta, k_values))
         if opt_sec.has("s_values_ns"):
-            raw_s = _parse_values(opt_sec.text("s_values_ns"), "optimizer", "s_values_ns")
-            if any(v <= 0 for v in raw_s):
-                _fail("optimizer", "s_values_ns", "time constants must be positive")
-            s_values = tuple(ns(v) for v in raw_s)
+            s_grid.extend(ns(v) for v in _parse_values(
+                opt_sec.text("s_values_ns"), "optimizer", "s_values_ns"))
         if opt_sec.has("r_values"):
-            r_values = _parse_values(opt_sec.text("r_values"), "optimizer", "r_values")
-            if any(r < 0 for r in r_values):
-                _fail("optimizer", "r_values", "ratios must be non-negative")
-        p_min = opt_sec.number("p_min", 0.3)
+            r_grid = _parse_values(opt_sec.text("r_values"), "optimizer", "r_values")
+            if not s_grid:
+                _fail("optimizer", "k_values",
+                      "required with r_values, unless s_values_ns is given")
+            # R = 0 stands in until the s grid has passed, so that a refusal
+            # names its key; seed_points has refused non-positive seeds
+            search = checked("[optimizer] s_values_ns", SearchSpace,
+                             tuple(s_grid), (0.0,), scheme)
+            search = checked("[optimizer] r_values", replace, search, r_grid=r_grid)
+        elif s_grid:
+            _fail("optimizer", "r_values", "required with k_values or s_values_ns")
+        p_min = opt_sec.number("p_min", objective.p_min)
+        shift_max = None
         if opt_sec.has("shift_max_mhz"):
             shift_max = opt_sec.scaled("shift_max_mhz", RAD_PER_MHZ)
             if shift_max <= 0:
                 _fail("optimizer", "shift_max_mhz", "must be positive")
+        objective = ObjectiveConfig(p_min, shift_max)
 
-    n_samples = 10**6
-    seed = 42
+    mc = McConfig(10**6, 42)
     if parser.has_section("mc"):
         mc_sec = _Section(parser, "mc")
-        n_samples = mc_sec.integer("n_samples", n_samples)
-        if n_samples < 1:
-            _fail("mc", "n_samples", "must be at least 1")
-        seed = mc_sec.integer("seed", seed)
-        if seed < 0:
-            _fail("mc", "seed", "must be non-negative")
+        mc = checked("[mc] n_samples", replace, mc,
+                     n_samples=mc_sec.integer("n_samples", mc.n_samples))
+        mc = checked("[mc] seed", replace, mc,
+                     rng_seed=mc_sec.integer("seed", mc.rng_seed))
 
     out_dir = "."
     if parser.has_section("output"):
         out_dir = _Section(parser, "output").text("out_dir", ".")
 
-    raw = {sec: dict(parser.items(sec)) for sec in parser.sections()}
     return RunConfig(
         transmon=transmon, eta=eta, scheme=scheme,
         omega_min=omega_min, omega_max=omega_max,
         coarse_step=coarse_step, refine_step=refine_step,
         baseline_shift=baseline_shift, cw_amplitude=cw_amplitude,
-        s=s_value, ratio_r=ratio_r,
-        k_values=k_values, s_values=s_values, r_values=r_values,
-        p_min=p_min, shift_max=shift_max,
-        n_samples=n_samples, seed=seed, out_dir=out_dir, raw=raw,
+        s=s_value, ratio_r=ratio_r, search=search, objective=objective,
+        mc=mc, out_dir=out_dir,
     )

@@ -40,8 +40,6 @@ class SearchSpace:
         if any(not r >= 0 for r in self.r_grid):
             raise ValueError("all duration ratios must be non-negative")
         parse_scheme(self.scheme)
-        if self.scheme == "cw":
-            raise ValueError("cannot optimize the cw scheme")
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,8 @@ def seed_points(eta: float, k_values: list[float]) -> list[float]:
             raise ValueError(f"harmonic multiple must be positive, got {k}")
     seeds = [SEED_PHASE / (k * eta) for k in k_values]
     for k, s in zip(k_values, seeds):
-        if not math.isfinite(s):
+        # a tiny k eta overflows the quotient, a huge one the product (s = 0)
+        if not 0 < s < math.inf:
             raise ValueError(f"0.68pi/(k eta) overflows at k = {k}, eta = {eta}")
     return seeds
 
@@ -108,6 +107,8 @@ def optimize(space: SearchSpace, transmon: TransmonParams, eta: float,
     peak, then smaller R, then smaller s. Raises InfeasibleError when no
     point is feasible, carrying the best-peak point for diagnosis.
     """
+    if space.scheme == "cw":
+        raise ValueError("cannot optimize the cw scheme")
     cw_ref = sweep_refined("cw", transmon, eta, omega_min, omega_max,
                            coarse_step, refine_step, cw_amplitude=cw_amplitude)
 

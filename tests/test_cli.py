@@ -236,6 +236,39 @@ def test_exit_2_on_negative_seed(tmp_path, capsys):
     assert not os.path.exists(os.path.join(tmp_path, "validation_report.txt"))
 
 
+GRIDS = "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\n"
+
+
+@pytest.mark.parametrize("command, old, new, code, blamed", [
+    ("optimize", "kind = double", "kind = cw", 2, "[scheme] kind:"),
+    ("baseline", "step_mhz = 2.0", "cw_amplitude = 1.1\nstep_mhz = 2.0", 2,
+     "[sweep] cw_amplitude:"),
+    ("spectrum", "step_mhz = 2.0", "cw_amplitude = 1.1\nstep_mhz = 2.0", 2,
+     "[sweep] cw_amplitude:"),
+    ("optimize", "step_mhz = 2.0", "cw_amplitude = 1.1\nstep_mhz = 2.0", 2,
+     "[sweep] cw_amplitude:"),
+    # the first coarse and refine points past 4 GHz differ by 0.1 Hz
+    ("spectrum", "step_mhz = 2.0", "step_mhz = 0.5000001", 2,
+     "[sweep] step_mhz:"),
+    ("baseline", "step_mhz = 2.0", "step_mhz = 0.5000001", 2,
+     "[sweep] step_mhz:"),
+    ("optimize", "k_values = 3.0", "k_values = 1e300", 2, "[optimizer] k_values:"),
+    ("validate", "k_values = 3.0", "", 2, "[optimizer] k_values:"),
+    ("spectrum", "phi_disp = 0.49", "phi_disp = 0.5", 3, "domain error"),
+    # the line peaks above a 100 MHz window
+    ("spectrum", "max_ghz = 5.0", "max_ghz = 4.1", 3, "grid boundary"),
+    ("optimize", "r_values = 0.001", "r_values = 0.001\np_min = 0.99", 4,
+     "infeasible"),
+])
+def test_bad_configs_never_exit_1(tmp_path, capsys, command, old, new, code,
+                                  blamed):
+    text = (FAST_CFG + GRIDS).replace(old, new)
+    assert text != FAST_CFG + GRIDS
+    assert main([command, "--config", write_cfg(tmp_path, text),
+                 "--out", str(tmp_path)]) == code
+    assert blamed in capsys.readouterr().err
+
+
 def test_exit_5_on_failing_validation(tmp_path, monkeypatch, capsys):
     failing = ValidationReport(1, 10, [
         CheckResult("synthetic_check", False, 1.0, 0.1, "forced failure"),

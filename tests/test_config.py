@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from ramseybias import ConfigError, DomainError
+from ramseybias import (ConfigError, DomainError, McConfig, ObjectiveConfig,
+                        seed_points)
 from ramseybias.cli import main
 from ramseybias.config import TEMPLATE, load_config, parse_time_constant
 from ramseybias.units import RAD_PER_GHZ, ghz
@@ -49,14 +50,14 @@ def test_template_parses(template_path):
     assert cfg.coarse_step == pytest.approx(ghz(0.001))
     assert cfg.refine_step == pytest.approx(ghz(0.0001))
     assert cfg.baseline_shift is True
-    assert cfg.k_values == (2.5, 3.0, 3.5)
-    assert len(cfg.r_values) == 12
-    assert cfg.r_values[0] == pytest.approx(0.0005)
-    assert cfg.r_values[-1] == pytest.approx(0.1)
-    assert cfg.p_min == 0.3
-    assert cfg.shift_max == pytest.approx(ghz(0.005))
-    assert cfg.n_samples == 10**6 and cfg.seed == 42
-    assert cfg.raw["drive"]["eta_ghz"] == "0.1"
+    assert cfg.search.s_grid == tuple(seed_points(cfg.eta, [2.5, 3.0, 3.5]))
+    assert cfg.search.scheme == "double"
+    assert len(cfg.search.r_grid) == 12
+    assert cfg.search.r_grid[0] == pytest.approx(0.0005)
+    assert cfg.search.r_grid[-1] == pytest.approx(0.1)
+    assert cfg.objective.p_min == 0.3
+    assert cfg.objective.shift_max == pytest.approx(ghz(0.005))
+    assert cfg.mc == McConfig(10**6, 42)
 
 
 def test_minimal_defaults(tmp_path):
@@ -64,7 +65,9 @@ def test_minimal_defaults(tmp_path):
     assert cfg.transmon.e_c == pytest.approx(0.5 * RAD_PER_GHZ)
     assert cfg.scheme == "double"
     assert cfg.s is None and cfg.ratio_r is None
-    assert cfg.k_values is None and cfg.r_values is None
+    assert cfg.search is None
+    assert cfg.objective == ObjectiveConfig()
+    assert cfg.mc == McConfig(10**6, 42)
 
 
 def test_time_constant_rule():
@@ -129,7 +132,7 @@ def test_bad_scheme(tmp_path):
 def test_r_values_forms(tmp_path):
     text = MINIMAL + "\n[optimizer]\nr_values = 0.001, 0.01, 0.1\nk_values = 3\n"
     cfg = load_config(write_cfg(tmp_path, text))
-    assert cfg.r_values == (0.001, 0.01, 0.1)
+    assert cfg.search.r_grid == (0.001, 0.01, 0.1)
     bad = MINIMAL + "\n[optimizer]\nr_values = logspace:0.1,0.2\n"
     with pytest.raises(ConfigError, match="logspace"):
         load_config(write_cfg(tmp_path, bad))
@@ -138,7 +141,7 @@ def test_r_values_forms(tmp_path):
 def test_shift_cap_parse(tmp_path):
     text = MINIMAL + "\n[optimizer]\nk_values = 2\nr_values = 0.045\nshift_max_mhz = 5\n"
     cfg = load_config(write_cfg(tmp_path, text))
-    assert cfg.shift_max == pytest.approx(ghz(0.005))
+    assert cfg.objective.shift_max == pytest.approx(ghz(0.005))
 
 
 def test_malformed_file(tmp_path):
@@ -166,11 +169,19 @@ def test_negative_mc_seed_rejected(tmp_path):
     ("optimize", "optimizer", "r_values", "logspace:nan,0.1,12"),
     ("optimize", "optimizer", "r_values", "logspace:0.0005,inf,12"),
     ("optimize", "optimizer", "s_values_ns", "1.0, nan"),
+    # finite values out of range; None leaves the key out, half a grid pair
+    ("spectrum", "averaging", "r", "-1"),
+    ("baseline", "sweep", "cw_amplitude", "1.000001"),
+    ("optimize", "optimizer", "r_values", "0.001, -0.1"),
+    ("optimize", "optimizer", "s_values_ns", "0"),
+    ("validate", "mc", "n_samples", "0"),
+    ("spectrum", "optimizer", "k_values", None),
+    ("validate", "optimizer", "r_values", None),
 ])
 def test_non_finite_numbers_exit_2(tmp_path, capsys, command, section, key,
                                    value):
-    text, hits = re.subn(rf"^#? ?{key} = .*$", f"{key} = {value}", TEMPLATE,
-                         flags=re.M)
+    line = "" if value is None else f"{key} = {value}"
+    text, hits = re.subn(rf"^#? ?{key} = .*$", line, TEMPLATE, flags=re.M)
     assert hits == 1
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -187,6 +198,8 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, command, section, key,
     # the 0.68pi/<k>eta rule overflows instead
     ("spectrum", "eta_ghz", "1e-320", "[averaging] s"),
     ("optimize", "k_values", "1e-320", "[optimizer] k_values"),
+    # and underflows to 0 where k eta overflows
+    ("optimize", "k_values", "1e300", "[optimizer] k_values"),
 ])
 def test_overflowing_numbers_exit_2(tmp_path, capsys, command, key, value,
                                     blamed):

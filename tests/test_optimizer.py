@@ -38,6 +38,8 @@ def test_seed_points_rule():
         seed_points(math.nan, [3.0])
     with pytest.raises(ValueError, match="overflows at k = 1e-320"):
         seed_points(ETA, [3.0, 1e-320])
+    with pytest.raises(ValueError, match=r"overflows at k = 1e\+300"):
+        seed_points(ETA, [3.0, 1e300])
 
 
 def test_search_space_validation():
@@ -50,9 +52,10 @@ def test_search_space_validation():
     with pytest.raises(ValueError, match="duration ratios"):
         SearchSpace((1e-9,), (math.nan,), "double")
     with pytest.raises(ValueError):
-        SearchSpace((1e-9,), (0.001,), "cw")
-    with pytest.raises(ValueError):
         SearchSpace((0.0,), (0.001,), "double")
+    # a cw space holds no (s, R) to search, and optimize refuses it
+    with pytest.raises(ValueError, match="cannot optimize the cw scheme"):
+        run(SearchSpace((1e-9,), (0.001,), "cw"))
 
 
 def test_single_point_space():
