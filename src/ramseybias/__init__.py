@@ -6,17 +6,14 @@ duration ensemble, extracts peak/linewidth/fringe metrics, and searches the
 duration parameters for the narrowest line.
 """
 
-from .averaging import (AveragingParams, McConfig, i_s, mc_oracle,
-                        pe_avg_triple_closed, sample_maxwell)
+from .averaging import AveragingParams, McConfig, i_s, mc_oracle, sample_maxwell
 from .errors import (ConfigError, DomainError, InfeasibleError, MetricsError,
                      NoCrossingError, NoPeakError)
 from .evolution import (BiasTrain, QubitAmplitudes, ce_double,
                         ce_triple, compose_train, dispersive_phase,
                         propagate_segment)
-from .optimizer import (ObjectiveConfig, OptimizationResult, SearchSpace,
-                        optimize, seed_points)
-from .qubit import (DriveParams, RegimeQuantities, TransmonParams, omega_eg,
-                    regime_quantities)
+from .optimizer import ObjectiveConfig, SearchSpace, optimize, seed_points
+from .qubit import DriveParams, TransmonParams, omega_eg, regime_quantities
 from .spectroscopy import (Spectrum, SpectrumMetrics, cw_baseline, make_grid,
                            metrics, pe_average, sweep, sweep_refined)
 from .validation import run_validation
@@ -26,13 +23,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AveragingParams", "BiasTrain", "ConfigError", "DomainError",
     "DriveParams", "InfeasibleError", "McConfig", "MetricsError",
-    "NoCrossingError", "NoPeakError", "ObjectiveConfig",
-    "OptimizationResult", "QubitAmplitudes", "RegimeQuantities",
+    "NoCrossingError", "NoPeakError", "ObjectiveConfig", "QubitAmplitudes",
     "SearchSpace", "Spectrum", "SpectrumMetrics",
     "TransmonParams", "ce_double", "ce_triple", "compose_train",
     "cw_baseline", "dispersive_phase", "i_s", "make_grid",
     "mc_oracle", "metrics", "omega_eg", "optimize", "pe_average",
-    "pe_avg_triple_closed", "propagate_segment",
-    "regime_quantities", "run_validation",
+    "propagate_segment", "regime_quantities", "run_validation",
     "sample_maxwell", "seed_points", "sweep", "sweep_refined",
 ]

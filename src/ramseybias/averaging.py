@@ -15,9 +15,9 @@ its end, from the asymptotic series of the same expression. A composite
 Gauss-Legendre quadrature is the independent oracle for both.
 
 Trains of any order average exactly to a finite sum of such moments, with
-coefficients from one FFT of the train population per order. Closed forms
-cover the two-segment train (exact) and the three-segment one near
-resonance; a Monte Carlo oracle on the numeric composer checks them all.
+coefficients from one FFT of the train population per order; the
+two-segment train also has an exact closed form. A Monte Carlo oracle on the
+numeric composer checks them all.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import Union
 
 import numpy as np
 
+from .errors import DomainError
 from .evolution import BiasTrain, compose_train, train_excitation
 from .qubit import DriveParams, RegimeQuantities
 
@@ -145,7 +146,7 @@ def i_s(beta: ArrayLike, s: float, method: str = "dawson") -> ArrayLike:
     which happens for |b| beyond about 72. Both give each argument's value
     independently of the others: a slice of the input gives the same slice
     of the output, bit for bit. A scalar argument gives a float; a
-    non-finite argument raises ``ValueError``.
+    non-finite argument raises ``DomainError``.
     """
     if not s > 0:
         raise ValueError(f"time constant must be positive, got {s}")
@@ -165,8 +166,8 @@ def _require_finite(b: np.ndarray, where: np.ndarray) -> None:
     flat indices of ``b`` in the caller's argument."""
     bad = np.flatnonzero(~np.isfinite(b))
     if bad.size:
-        raise ValueError(f"moment argument beta*s = {b[bad[0]]} at flat index "
-                         f"{where[bad[0]]} is not finite")
+        raise DomainError(f"moment argument beta*s = {b[bad[0]]} at flat "
+                          f"index {where[bad[0]]} is not finite")
 
 
 def _moment(b: np.ndarray) -> np.ndarray:
@@ -354,32 +355,6 @@ def _pe_grid_numeric(n_res: int, lam: np.ndarray, theta: np.ndarray,
     return sum(sum(a * cos_m for a, cos_m in zip(row, cosines))
                * (2.0 * i_s((k * lam + l * rdd) / 2.0, s))
                for k, l, row in zip(*_moment_table(n_res)))
-
-
-def pe_avg_triple_closed(q_res: RegimeQuantities, q_disp: RegimeQuantities,
-                         avg: AveragingParams) -> float:
-    """Close-resonance closed form for the three-segment train average.
-
-    Valid where the detuning is small against the coupling; exact at zero
-    detuning, where the mixing-angle cosine vanishes. Off resonance it is
-    an approximation and may leave [0, 1], which is expected and not
-    warned about.
-    """
-    lam, fp = q_res.lam, np.sin(q_res.theta)
-    rdd = avg.ratio_r * np.asarray(q_disp.delta_d, dtype=float)
-    moment = lambda b: i_s(b, avg.s)
-    bracket = (6.0
-               - 10.0 * moment(lam)
-               + 4.0 * moment(2.0 * lam)
-               - 6.0 * moment(3.0 * lam)
-               + 4.0 * moment(2.0 * rdd)
-               + 4.0 * moment(lam + rdd) + 4.0 * moment(lam - rdd)
-               + moment(lam + 2.0 * rdd) + moment(lam - 2.0 * rdd)
-               - 2.0 * moment(2.0 * lam + 2.0 * rdd)
-               - 2.0 * moment(2.0 * lam - 2.0 * rdd)
-               - 4.0 * moment(3.0 * lam + rdd) - 4.0 * moment(3.0 * lam - rdd)
-               - moment(3.0 * lam + 2.0 * rdd) - moment(3.0 * lam - 2.0 * rdd))
-    return float(fp * fp / 16.0 * bracket)
 
 
 def _usable_cpus() -> int:

@@ -26,9 +26,9 @@ import pytest
 from ramseybias import (AveragingParams, BiasTrain, DriveParams, McConfig,
                         TransmonParams, ce_double, ce_triple, compose_train,
                         mc_oracle, metrics, omega_eg, pe_average,
-                        pe_avg_triple_closed, regime_quantities,
-                        run_validation, sweep_refined)
+                        regime_quantities, run_validation, sweep_refined)
 from ramseybias.units import ghz, to_ghz, to_mhz
+from triple_closed_form import pe_avg_triple_closed
 
 ETA = ghz(0.1)
 S_DOUBLE = 0.68 * math.pi / (3.0 * ETA)

@@ -15,15 +15,15 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.optimize import minimize_scalar
 
-from ramseybias import (AveragingParams, BiasTrain, DriveParams, McConfig,
-                        TransmonParams, averaging, ce_double, compose_train,
-                        i_s, make_grid, mc_oracle, omega_eg,
-                        pe_average, pe_avg_triple_closed, regime_quantities,
-                        sample_maxwell, sweep)
+from ramseybias import (AveragingParams, BiasTrain, DomainError, DriveParams,
+                        McConfig, TransmonParams, averaging, ce_double,
+                        compose_train, i_s, make_grid, mc_oracle, omega_eg,
+                        pe_average, regime_quantities, sample_maxwell, sweep)
 from ramseybias.averaging import X_CUTOFF, _moment_table, _pe_grid_numeric
 from ramseybias.evolution import train_excitation
 from ramseybias.spectroscopy import _grid_quantities
 from ramseybias.units import ghz
+from triple_closed_form import pe_avg_triple_closed
 
 TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)
 ETA = ghz(0.1)
@@ -214,7 +214,7 @@ def test_moment_names_the_first_non_finite_argument(method):
     cases = [([0.5, np.nan, np.inf], "nan", 1), (np.inf, "inf", 0),
              ([[1.0, 20.0], [-np.inf, np.nan]], "-inf", 2)]
     for beta, value, index in cases:
-        with pytest.raises(ValueError, match=re.escape(
+        with pytest.raises(DomainError, match=re.escape(
                 f"beta*s = {value} at flat index {index} is not finite")):
             i_s(beta, 1.0, method=method)
 

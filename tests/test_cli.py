@@ -259,6 +259,10 @@ GRIDS = "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\n"
     ("spectrum", "max_ghz = 5.0", "max_ghz = 4.1", 3, "grid boundary"),
     ("optimize", "r_values = 0.001", "r_values = 0.001\np_min = 0.99", 4,
      "infeasible"),
+    # R times the dispersive phase rate overflows although R is finite
+    ("spectrum", "r = 0.001\n", "r = 1e300\n", 3, "is not finite"),
+    ("validate", "r = 0.001\n", "r = 1e300\n", 3, "is not finite"),
+    ("optimize", "r_values = 0.001", "r_values = 1e300", 3, "is not finite"),
 ])
 def test_bad_configs_never_exit_1(tmp_path, capsys, command, old, new, code,
                                   blamed):
@@ -267,6 +271,14 @@ def test_bad_configs_never_exit_1(tmp_path, capsys, command, old, new, code,
     assert main([command, "--config", write_cfg(tmp_path, text),
                  "--out", str(tmp_path)]) == code
     assert blamed in capsys.readouterr().err
+
+
+def test_validate_passes_at_a_tiny_time_constant(tmp_path):
+    # the moment check's grid is built in b = beta*s, so 1/s cannot overflow
+    cfg = write_cfg(tmp_path, FAST_CFG.replace("s = 0.68pi/3eta", "s = 1e-300"))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    assert b"overall = pass" in (out / "validation_report.txt").read_bytes()
 
 
 def test_exit_5_on_failing_validation(tmp_path, monkeypatch, capsys):

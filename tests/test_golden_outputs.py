@@ -51,9 +51,9 @@ GOLDEN = {
         "metrics.txt": "b8fac24d4e939952057b56cf7c8b609f",
         "spectrum.csv": "bd2cbf945f74e7d91cd682858ca1a594"},
     ("validate", "validate"): {
-        "validation_report.txt": "25daee560a2359f97959b63ca2888970"},
+        "validation_report.txt": "0e1d6bde07cc688256ded5bb8b7ab45f"},
     ("validate_slices", "validate"): {
-        "validation_report.txt": "dafdcd19316789320905c315d338dce9"},
+        "validation_report.txt": "9eb8b5c3d0d12c8d75211de5d96d2ef7"},
 }
 
 

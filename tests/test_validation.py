@@ -1,9 +1,10 @@
 """The cross-check suite itself: it must pass, render deterministically,
-and actually catch a corrupted closed form."""
+and actually catch a corrupted average."""
 
 import pytest
 
 from ramseybias import McConfig, TransmonParams, pe_average, run_validation
+from ramseybias import validation
 from ramseybias.units import ghz
 
 TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)
@@ -23,12 +24,12 @@ def test_all_checks_pass(report):
 
 
 def test_expected_checks_present(report):
-    names = {c.name for c in report.checks}
-    assert {"closed_vs_composed_double", "closed_vs_composed_triple",
-            "train_norm_preservation", "moment_dawson_vs_quadrature",
-            "double_avg_vs_monte_carlo", "triple_avg_vs_monte_carlo_resonant",
-            "triple_closed_vs_numeric_resonant", "dispersive_phase_vs_exact",
-            "double_avg_probability_range", "mc_determinism"} <= names
+    assert [c.name for c in report.checks] == [
+        "closed_vs_composed_double", "closed_vs_composed_triple",
+        "train_norm_preservation", "moment_table_vs_quadrature",
+        "double_avg_vs_monte_carlo", "triple_avg_vs_monte_carlo",
+        "dispersive_phase_vs_exact", "double_avg_probability_range",
+        "mc_determinism"]
 
 
 def test_render_is_deterministic(report):
@@ -44,13 +45,19 @@ def test_underpowered_sampling_still_passes():
     assert all(c.passed for c in mc_checks)
 
 
-def test_corrupted_closed_form_is_caught():
-    # negative control: bias the closed form by 0.02 and the sampled
-    # comparison must fail
-    corrupted = lambda *args: pe_average(2, *args) + 0.02
-    report = run_validation(TRANSMON, ETA, MC, mc_draws=3,
-                            pe_double_fn=corrupted)
-    by_name = {c.name: c for c in report.checks}
-    assert not by_name["double_avg_vs_monte_carlo"].passed
-    assert not report.all_passed
-    assert "overall = FAIL" in report.render()
+def test_corrupted_closed_form_is_caught(monkeypatch):
+    # negative control: bias one order's average by 0.02; its sampled
+    # comparison must fail and the other order's must still pass
+    for n_biased, caught, clean in (
+            (2, "double_avg_vs_monte_carlo", "triple_avg_vs_monte_carlo"),
+            (3, "triple_avg_vs_monte_carlo", "double_avg_vs_monte_carlo")):
+        def corrupted(n_res, *args):
+            bias = 0.02 if n_res == n_biased else 0.0
+            return pe_average(n_res, *args) + bias
+        monkeypatch.setattr(validation, "pe_average", corrupted)
+        report = run_validation(TRANSMON, ETA, MC, mc_draws=3)
+        by_name = {c.name: c for c in report.checks}
+        assert not by_name[caught].passed
+        assert by_name[clean].passed
+        assert not report.all_passed
+        assert "overall = FAIL" in report.render()
