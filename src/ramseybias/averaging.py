@@ -269,19 +269,18 @@ def _check_range(value: ArrayLike, label: str) -> None:
         )
 
 
-def _pe_double_formula(lam: ArrayLike, theta: ArrayLike, delta_d: ArrayLike,
-                       s: float, ratio_r: float) -> ArrayLike:
+def _pe_double_formula(lam: ArrayLike, theta: ArrayLike, rdd: ArrayLike,
+                       s: float) -> ArrayLike:
     """Closed-form duration average of the two-segment train population.
 
     Written with the weight factors F = sin(theta) cos(theta) and
-    F' = sin(theta); the moment arguments are R*delta_d, lam, 2 lam and
-    their sums and differences.
+    F' = sin(theta); the moment arguments are rdd = R*delta_d, lam, 2 lam
+    and their sums and differences.
     """
     st = np.sin(theta)
     ct = np.cos(theta)
     f = st * ct
     fp = st
-    rdd = ratio_r * np.asarray(delta_d, dtype=float)
     moment = lambda b: i_s(b, s)
     val = (fp**4 + 4.0 * f * f) / 4.0
     val = val + (fp**4 - 2.0 * f * f) / 2.0 * moment(rdd)
@@ -340,17 +339,16 @@ def _moment_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _pe_grid_numeric(n_res: int, lam: np.ndarray, theta: np.ndarray,
-                     delta_d: np.ndarray, s: float, ratio_r: float) -> np.ndarray:
-    """Exact duration-averaged train population on a frequency grid: the
-    :func:`_moment_table` terms, added one at a time (memory linear in the
-    grid), with cos(m theta) from the angle-addition recurrence."""
+                     rdd: np.ndarray, s: float) -> np.ndarray:
+    """Exact duration-averaged train population on a frequency grid, from
+    rdd = R*delta_d: the :func:`_moment_table` terms, added one at a time
+    (memory linear in the grid), cos(m theta) by angle addition."""
     ct, st = np.cos(theta), np.sin(theta)
     c, sn = np.ones_like(ct), np.zeros_like(ct)
     cosines = [c]
     for _ in range(2 * n_res):
         c, sn = c * ct - sn * st, sn * ct + c * st
         cosines.append(c)
-    rdd = ratio_r * np.asarray(delta_d, dtype=float)
     # elementwise only: a BLAS product rounds a point by its place in the grid
     return sum(sum(a * cos_m for a, cos_m in zip(row, cosines))
                * (2.0 * i_s((k * lam + l * rdd) / 2.0, s))

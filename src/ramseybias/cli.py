@@ -6,10 +6,10 @@ curve and a key/value metrics report), ``optimize`` (grid search over the
 duration parameters, write a trace CSV and summary) and ``validate`` (run
 the cross-check suite).
 
-Exit codes: 0 success, 2 configuration error, 3 domain error, 4 infeasible
-optimization, 5 validation failure. Output files are written atomically
-(temporary file plus rename) and are byte-identical for identical
-configuration and seed. Reported metrics are computed on the values as
+Exit codes: 0 success, 2 configuration error or unusable output path,
+3 domain error, 4 infeasible optimization, 5 validation failure. Output
+files are written atomically (temporary file plus rename) and are
+byte-identical for identical configuration and seed. Reported metrics are computed on the values as
 printed, so re-reading a CSV reproduces them exactly.
 """
 
@@ -72,7 +72,7 @@ def _quantized_spectrum(spec: Spectrum) -> tuple[Spectrum, list[str]]:
 
 def _metrics_report(tag: str, cfg: RunConfig, m: SpectrumMetrics) -> str:
     lines = [f"scheme = {tag}"]
-    if cfg.s is not None and tag != "cw":
+    if tag != "cw":
         lines.append(f"s_ns = {_fmt(to_ns(cfg.s))}")
         lines.append(f"r = {_fmt(cfg.ratio_r)}")
     lines.append(f"peak_ghz = {_fmt(to_ghz(m.peak_omega))}")
@@ -89,17 +89,13 @@ def _metrics_report(tag: str, cfg: RunConfig, m: SpectrumMetrics) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _averaging_for(cfg: RunConfig, scheme: str) -> AveragingParams | None:
-    if scheme == "cw":
-        return None
-    if cfg.s is None or cfg.ratio_r is None:
-        raise ConfigError("[averaging] s, r: required for schemes other than cw")
-    return AveragingParams(cfg.s, cfg.ratio_r)
-
-
 def _sweep_command(cfg: RunConfig, scheme: str, out_dir: str, csv_name: str,
                    report_name: str) -> int:
-    avg = _averaging_for(cfg, scheme)
+    avg = None
+    if scheme != "cw":
+        if cfg.s is None or cfg.ratio_r is None:
+            raise ConfigError("[averaging] s, r: required for schemes other than cw")
+        avg = AveragingParams(cfg.s, cfg.ratio_r)
     spec = sweep_refined(scheme, cfg.transmon, cfg.eta, cfg.omega_min,
                          cfg.omega_max, cfg.coarse_step, cfg.refine_step, avg,
                          cw_amplitude=cfg.cw_amplitude)
@@ -122,15 +118,6 @@ def _sweep_command(cfg: RunConfig, scheme: str, out_dir: str, csv_name: str,
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
-    return _sweep_command(cfg, cfg.scheme, out_dir, "spectrum.csv", "metrics.txt")
-
-
-def cmd_baseline(cfg: RunConfig, out_dir: str) -> int:
-    return _sweep_command(cfg, "cw", out_dir, "baseline.csv",
-                          "baseline_metrics.txt")
-
-
 def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
     if cfg.scheme == "cw":
         raise ConfigError("[scheme] kind: cannot optimize the cw scheme")
@@ -150,9 +137,10 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
                 f"{_fmt(to_mhz(m.fwhm))},{'true' if on_front else 'false'}")
 
     try:
-        result = optimize(cfg.search, cfg.transmon, cfg.eta, cfg.omega_min,
-                          cfg.omega_max, cfg.coarse_step, cfg.refine_step,
-                          cfg.objective, cw_amplitude=cfg.cw_amplitude)
+        result = optimize(cfg.scheme, cfg.search, cfg.transmon, cfg.eta,
+                          cfg.omega_min, cfg.omega_max, cfg.coarse_step,
+                          cfg.refine_step, cfg.objective,
+                          cw_amplitude=cfg.cw_amplitude)
     except InfeasibleError as exc:
         lines = ["status = infeasible", f"reason = {exc}"]
         pt = exc.best_peak_point
@@ -241,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "init":
-        return cmd_init(args.path)
     # glibc's malloc serves blocks above its mmap threshold (128 KiB at
     # start) from fresh mappings and unmaps them on free, so every large
     # temporary of a command page-faults anew: about 100k faults in a
@@ -252,15 +238,19 @@ def main(argv: list[str] | None = None) -> int:
     np.empty(_HEAP_WARMUP_BYTES, dtype=np.uint8)
 
     try:
+        if args.command == "init":
+            return cmd_init(args.path)
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.mc = checked("--seed", replace, cfg.mc, rng_seed=args.seed)
         out_dir = args.out if args.out is not None else cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "spectrum":
-            return cmd_spectrum(cfg, out_dir)
+            return _sweep_command(cfg, cfg.scheme, out_dir, "spectrum.csv",
+                                  "metrics.txt")
         if args.command == "baseline":
-            return cmd_baseline(cfg, out_dir)
+            return _sweep_command(cfg, "cw", out_dir, "baseline.csv",
+                                  "baseline_metrics.txt")
         if args.command == "optimize":
             return cmd_optimize(cfg, out_dir)
         if args.command == "validate":
@@ -268,6 +258,14 @@ def main(argv: list[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # load_config reports its own OSError as a ConfigError, so this one
+        # comes from creating or writing the outputs
+        where = (f"init path {args.path}" if args.command == "init"
+                 else "[output] out_dir" if args.out is None else "--out")
+        print(f"config error: {where}: unusable output path: {exc}",
+              file=sys.stderr)
         return 2
     except (DomainError, MetricsError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)

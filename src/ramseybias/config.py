@@ -153,12 +153,10 @@ class _Section:
             _fail(self.name, key, f"expected an integer, got {value!r}")
 
     def flag(self, key: str, default: bool) -> bool:
-        value = self.text(key, "true" if default else "false").lower()
-        if value in ("true", "yes", "on", "1"):
-            return True
-        if value in ("false", "no", "off", "0"):
-            return False
-        _fail(self.name, key, f"expected true/false, got {value!r}")
+        value = self.text(key, str(default)).lower()
+        if value not in self.parser.BOOLEAN_STATES:
+            _fail(self.name, key, f"expected true/false, got {value!r}")
+        return self.parser.BOOLEAN_STATES[value]
 
 
 def parse_time_constant(text: str, eta: float) -> float:
@@ -277,7 +275,7 @@ def load_config(path: str) -> RunConfig:
             # R = 0 stands in until the s grid has passed, so that a refusal
             # names its key; seed_points has refused non-positive seeds
             search = checked("[optimizer] s_values_ns", SearchSpace,
-                             tuple(s_grid), (0.0,), scheme)
+                             tuple(s_grid), (0.0,))
             search = checked("[optimizer] r_values", replace, search, r_grid=r_grid)
         elif s_grid:
             _fail("optimizer", "r_values", "required with k_values or s_values_ns")

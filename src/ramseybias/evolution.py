@@ -71,10 +71,6 @@ class BiasTrain:
         if not self.ratio_r >= 0:
             raise ValueError(f"ratio_r must be non-negative, got {self.ratio_r}")
 
-    @property
-    def t_disp(self) -> ArrayLike:
-        return self.ratio_r * self.tau
-
 
 def propagate_segment(state: QubitAmplitudes, q: RegimeQuantities,
                       drive: DriveParams, tau: ArrayLike,
@@ -120,8 +116,8 @@ def ce_double(q_res: RegimeQuantities, q_disp: RegimeQuantities,
     """Closed-form excited amplitude after a tau / T / tau train.
 
     Ground-state start. Equal to composing resonant, dispersive and
-    resonant updates step by step; kept closed-form for speed and as one
-    side of the dual-route check against :func:`compose_train`.
+    resonant updates step by step; an oracle for :func:`compose_train`, run
+    by ``validate`` and the tests.
     """
     tau = np.asarray(tau, dtype=float)
     lam_tau = q_res.lam * tau

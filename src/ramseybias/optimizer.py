@@ -12,12 +12,12 @@ reported alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .averaging import AveragingParams
 from .errors import InfeasibleError, MetricsError
 from .qubit import TransmonParams
-from .spectroscopy import SpectrumMetrics, metrics, parse_scheme, sweep_refined
+from .spectroscopy import CW_AMPLITUDE_DEFAULT, SpectrumMetrics, metrics, sweep_refined
 
 # time-constant seed rule: the k-th harmonic's moment argument lands where
 # the cosine-weighted moment is suppressed
@@ -26,11 +26,10 @@ SEED_PHASE = 0.68 * math.pi
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Grids of time constants (s) and duration ratios (R) for one scheme."""
+    """Grids of time constants (s) and duration ratios (R) to search."""
 
     s_grid: tuple[float, ...]
     r_grid: tuple[float, ...]
-    scheme: str
 
     def __post_init__(self):
         if not self.s_grid or not self.r_grid:
@@ -39,7 +38,6 @@ class SearchSpace:
             raise ValueError("all time constants must be positive")
         if any(not r >= 0 for r in self.r_grid):
             raise ValueError("all duration ratios must be non-negative")
-        parse_scheme(self.scheme)
 
 
 @dataclass(frozen=True)
@@ -59,14 +57,13 @@ class EvalPoint:
     ratio_r: float
     metrics: SpectrumMetrics | None
     feasible: bool
-    note: str = ""
 
 
 @dataclass
 class OptimizationResult:
     best: EvalPoint
     pareto_front: list[EvalPoint]
-    trace: list[EvalPoint] = field(default_factory=list)
+    trace: list[EvalPoint]
 
 
 def seed_points(eta: float, k_values: list[float]) -> list[float]:
@@ -95,10 +92,10 @@ def _dominates(a: SpectrumMetrics, b: SpectrumMetrics) -> bool:
     return no_worse and better
 
 
-def optimize(space: SearchSpace, transmon: TransmonParams, eta: float,
-             omega_min: float, omega_max: float, coarse_step: float,
+def optimize(scheme: str, space: SearchSpace, transmon: TransmonParams,
+             eta: float, omega_min: float, omega_max: float, coarse_step: float,
              refine_step: float, objective: ObjectiveConfig = ObjectiveConfig(),
-             *, cw_amplitude: float = 0.5) -> OptimizationResult:
+             *, cw_amplitude: float = CW_AMPLITUDE_DEFAULT) -> OptimizationResult:
     """Exhaustively evaluate the (s, R) grid and pick the constrained best.
 
     Every grid point runs the two-stage sweep plus metrics against a shared
@@ -107,7 +104,7 @@ def optimize(space: SearchSpace, transmon: TransmonParams, eta: float,
     peak, then smaller R, then smaller s. Raises InfeasibleError when no
     point is feasible, carrying the best-peak point for diagnosis.
     """
-    if space.scheme == "cw":
+    if scheme == "cw":
         raise ValueError("cannot optimize the cw scheme")
     cw_ref = sweep_refined("cw", transmon, eta, omega_min, omega_max,
                            coarse_step, refine_step, cw_amplitude=cw_amplitude)
@@ -117,12 +114,12 @@ def optimize(space: SearchSpace, transmon: TransmonParams, eta: float,
         for r in space.r_grid:
             avg = AveragingParams(s, r)
             try:
-                spec = sweep_refined(space.scheme, transmon, eta, omega_min,
+                spec = sweep_refined(scheme, transmon, eta, omega_min,
                                      omega_max, coarse_step, refine_step, avg,
                                      cw_amplitude=cw_amplitude)
                 m = metrics(spec, reference=cw_ref)
-            except MetricsError as exc:
-                trace.append(EvalPoint(s, r, None, False, str(exc)))
+            except MetricsError:
+                trace.append(EvalPoint(s, r, None, False))
                 continue
             feasible = m.peak_value >= objective.p_min
             if feasible and objective.shift_max is not None:

@@ -89,10 +89,6 @@ class DriveParams:
         if bad.size:
             raise DomainError(f"probe frequency must be positive, got {bad[0]}")
 
-    @classmethod
-    def from_ghz(cls, eta_ghz: float, omega_ghz: float) -> "DriveParams":
-        return cls(eta_ghz * RAD_PER_GHZ, omega_ghz * RAD_PER_GHZ)
-
 
 @dataclass(frozen=True)
 class RegimeQuantities:

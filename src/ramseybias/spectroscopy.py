@@ -19,7 +19,7 @@ import numpy as np
 
 from .averaging import (AveragingParams, ArrayLike, _check_range,
                         _pe_double_formula, _pe_grid_numeric)
-from .errors import NoCrossingError, NoPeakError
+from .errors import DomainError, NoCrossingError, NoPeakError
 from .qubit import DriveParams, TransmonParams, regime_quantities
 from .units import to_ghz
 
@@ -105,16 +105,21 @@ def pe_average(n_res: int, lam: ArrayLike, theta: ArrayLike,
     Takes the resonant-bias quantities lam and theta and the dispersive
     phase rate delta_d, as scalars (returns a float) or as grids (returns an
     array). The two-segment train uses its exact closed form, every other
-    order the exact moment sum of ``_pe_grid_numeric``. Raw values are
-    returned; values outside [0, 1] beyond tolerance are warned about, never
-    clamped here.
+    order the exact moment sum of ``_pe_grid_numeric``; both take the
+    product R*delta_d formed here, and a product that overflows raises
+    DomainError. Raw values are returned; values outside [0, 1] beyond
+    tolerance are warned about, never clamped here.
     """
     if n_res < 1:
         raise ValueError(f"need at least one resonant segment, got {n_res}")
+    with np.errstate(over="ignore"):
+        rdd = avg.ratio_r * np.asarray(delta_d, dtype=float)
+    if not np.all(np.isfinite(rdd)):
+        raise DomainError(f"R*delta_d at R = {avg.ratio_r:g} is not finite")
     if n_res == 2:
-        raw = _pe_double_formula(lam, theta, delta_d, avg.s, avg.ratio_r)
+        raw = _pe_double_formula(lam, theta, rdd, avg.s)
     else:
-        raw = _pe_grid_numeric(n_res, lam, theta, delta_d, avg.s, avg.ratio_r)
+        raw = _pe_grid_numeric(n_res, lam, theta, rdd, avg.s)
     _check_range(raw, f"{n_res}-segment train average")
     return float(np.ravel(raw)[0]) if np.ndim(lam) == 0 else raw
 
@@ -294,11 +299,8 @@ def sweep_refined(scheme: str, transmon: TransmonParams, eta: float,
     fine = sweep(scheme, transmon, eta, fine_grid, avg,
                  cw_amplitude=cw_amplitude)
 
-    w = np.concatenate([coarse.omega, fine.omega])
-    p = np.concatenate([coarse.p_e, fine.p_e])
-    order = np.argsort(w, kind="stable")
-    w, p = w[order], p[order]
-    keep = np.empty(w.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = np.diff(w) > 0
-    return Spectrum(w[keep], p[keep], coarse.scheme_tag)
+    # the first of equal frequencies, so the coarse value, is kept
+    w, first = np.unique(np.concatenate([coarse.omega, fine.omega]),
+                         return_index=True)
+    p = np.concatenate([coarse.p_e, fine.p_e])[first]
+    return Spectrum(w, p, coarse.scheme_tag)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import AveragingParams, McConfig, i_s, mc_oracle
+from .averaging import RANGE_TOL, AveragingParams, McConfig, i_s, mc_oracle
 from .evolution import (BiasTrain, GROUND, ce_double, ce_triple, compose_train,
                         dispersive_phase, propagate_segment)
 from .optimizer import seed_points
@@ -171,8 +171,8 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
     avg = AveragingParams(s, ratio_r)
     raw = pe_average(2, *_grid_quantities(transmon, eta, grid), avg)
     excess = float(max(np.max(raw) - 1.0, -np.min(raw), 0.0))
-    checks.append(CheckResult("double_avg_probability_range", excess <= 1e-8,
-                              excess, 1e-8,
+    checks.append(CheckResult("double_avg_probability_range",
+                              excess <= RANGE_TOL, excess, RANGE_TOL,
                               f"raw range excess over [0, 1] on "
                               f"{grid.size} points around "
                               f"{to_ghz(w_res):.4f} GHz"))

@@ -307,7 +307,7 @@ def test_moment_sum_matches_quadrature_oracle(n_res):
     grid = make_grid(W_RES - ghz(1.0), W_RES + ghz(1.0), ghz(0.01))
     lam, theta, delta_d = _grid_quantities(TRANSMON, ETA, grid)
     s = 0.68 * math.pi / (2 * ETA)
-    exact = _pe_grid_numeric(n_res, lam, theta, delta_d, s, 0.045)
+    exact = _pe_grid_numeric(n_res, lam, theta, 0.045 * delta_d, s)
     oracle = quadrature_average(n_res, lam, theta, delta_d, s, 0.045)
     assert np.max(np.abs(exact - oracle)) <= 1e-12
 
@@ -317,7 +317,7 @@ def test_single_segment_sum_is_the_averaged_rabi_line():
     lam, theta, delta_d = _grid_quantities(TRANSMON, ETA, grid)
     s = 1.7e-9
     rabi = np.sin(theta) ** 2 * (1.0 - 2.0 * i_s(lam, s)) / 2.0
-    exact = _pe_grid_numeric(1, lam, theta, delta_d, s, 0.045)
+    exact = _pe_grid_numeric(1, lam, theta, 0.045 * delta_d, s)
     assert np.max(np.abs(exact - rabi)) <= 1e-12
 
 
@@ -330,7 +330,7 @@ def test_moment_sum_is_a_probability_and_matches_quadrature(n_res, s_ns,
     grid = np.array([W_RES + ghz(offset_ghz)])
     lam, theta, delta_d = _grid_quantities(TRANSMON, ETA, grid)
     s = s_ns * 1e-9
-    exact = _pe_grid_numeric(n_res, lam, theta, delta_d, s, ratio_r)
+    exact = _pe_grid_numeric(n_res, lam, theta, ratio_r * delta_d, s)
     assert -1e-12 <= exact[0] <= 1.0 + 1e-12
     oracle = quadrature_average(n_res, lam, theta, delta_d, s, ratio_r)
     assert abs(exact[0] - oracle[0]) <= 1e-12

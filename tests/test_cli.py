@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -263,14 +264,38 @@ GRIDS = "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\n"
     ("spectrum", "r = 0.001\n", "r = 1e300\n", 3, "is not finite"),
     ("validate", "r = 0.001\n", "r = 1e300\n", 3, "is not finite"),
     ("optimize", "r_values = 0.001", "r_values = 1e300", 3, "is not finite"),
+    # an output path at or below a regular file (run.cfg) cannot be used
+    ("spectrum", "out_dir = {out}", "out_dir = {out}/run.cfg/sub", 2,
+     "[output] out_dir: unusable output path"),
+    ("spectrum --out {out}/run.cfg/sub", "out_dir = {out}", "out_dir = {out}/sub",
+     2, "--out: unusable output path"),
+    ("baseline --out {out}/run.cfg", "out_dir = {out}", "out_dir = {out}/sub", 2,
+     "--out: unusable output path"),
 ])
 def test_bad_configs_never_exit_1(tmp_path, capsys, command, old, new, code,
                                   blamed):
-    text = (FAST_CFG + GRIDS).replace(old, new)
-    assert text != FAST_CFG + GRIDS
-    assert main([command, "--config", write_cfg(tmp_path, text),
-                 "--out", str(tmp_path)]) == code
+    # "{out}" stands for tmp_path, the configured output directory
+    base = FAST_CFG + GRIDS + "\n[output]\nout_dir = {out}\n"
+    text = base.replace(old, new)
+    assert text != base
+    cfg = write_cfg(tmp_path, text.replace("{out}", str(tmp_path)))
+    argv = [arg.replace("{out}", str(tmp_path)) for arg in command.split()]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--config", cfg]) == code
     assert blamed in capsys.readouterr().err
+    # an overflow is refused before numpy can warn about it
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_init_into_an_unusable_path_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "x.cfg")
+    assert main(["init", target]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: init path {target}: unusable output path" in err
+    assert blocker.read_text() == ""
 
 
 def test_validate_passes_at_a_tiny_time_constant(tmp_path):

@@ -51,7 +51,6 @@ def test_template_parses(template_path):
     assert cfg.refine_step == pytest.approx(ghz(0.0001))
     assert cfg.baseline_shift is True
     assert cfg.search.s_grid == tuple(seed_points(cfg.eta, [2.5, 3.0, 3.5]))
-    assert cfg.search.scheme == "double"
     assert len(cfg.search.r_grid) == 12
     assert cfg.search.r_grid[0] == pytest.approx(0.0005)
     assert cfg.search.r_grid[-1] == pytest.approx(0.1)
@@ -127,6 +126,22 @@ def test_bad_scheme(tmp_path):
         load_config(write_cfg(tmp_path, text))
     ok = load_config(write_cfg(tmp_path, MINIMAL + "\n[scheme]\nkind = general:4\n"))
     assert ok.scheme == "general:4"
+
+
+@pytest.mark.parametrize("value, want", [("off", False), ("no", False),
+                                         ("0", False), ("FALSE", False),
+                                         ("yes", True), ("On", True)])
+def test_baseline_shift_flag_words(tmp_path, value, want):
+    text = MINIMAL + f"baseline_shift = {value}\n"
+    assert load_config(write_cfg(tmp_path, text)).baseline_shift is want
+
+
+def test_baseline_shift_refuses_other_words(tmp_path, capsys):
+    text = MINIMAL + "baseline_shift = maybe\n"
+    assert main(["spectrum", "--config", write_cfg(tmp_path, text),
+                 "--out", str(tmp_path)]) == 2
+    assert "[sweep] baseline_shift: expected true/false, got 'maybe'" in (
+        capsys.readouterr().err)
 
 
 def test_r_values_forms(tmp_path):

@@ -16,7 +16,7 @@ TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)
 
 
 def quantities(omega_ghz=4.505, eta_ghz=0.1):
-    drive = DriveParams.from_ghz(eta_ghz, omega_ghz)
+    drive = DriveParams(ghz(eta_ghz), ghz(omega_ghz))
     q_res = regime_quantities(TRANSMON, drive, "resonant")
     q_disp = regime_quantities(TRANSMON, drive, "dispersive")
     return drive, q_res, q_disp
@@ -28,12 +28,12 @@ def stepwise_train(q_res, q_disp, drive, train):
     tau = np.asarray(train.tau, dtype=float)
     state = QubitAmplitudes(np.zeros_like(tau, dtype=complex),
                             np.ones_like(tau, dtype=complex))
+    t_disp = train.ratio_r * tau
     t0 = np.zeros_like(tau)
     for k in range(train.n_res):
         if k > 0:
-            state = dispersive_phase(state, q_disp.delta_d, drive.omega,
-                                     train.t_disp)
-            t0 = t0 + train.t_disp
+            state = dispersive_phase(state, q_disp.delta_d, drive.omega, t_disp)
+            t0 = t0 + t_disp
         state = propagate_segment(state, q_res, drive, tau, t0)
         t0 = t0 + tau
     return state

@@ -77,3 +77,24 @@ def test_variants_edit_the_template():
 @pytest.mark.parametrize("config, command", sorted(GOLDEN))
 def test_outputs_match_their_digests(tmp_path, config, command):
     assert digests(tmp_path, config, command) == GOLDEN[config, command]
+
+
+def test_spectrum_without_baseline_shift(tmp_path):
+    # the curve is the template's, byte for byte; the report loses only its
+    # two lines about the cw reference
+    unshifted = TEMPLATE.replace("baseline_shift = true ", "baseline_shift = false ")
+    assert unshifted != TEMPLATE
+    reports = []
+    for name, text in (("shifted", TEMPLATE), ("unshifted", unshifted)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / name
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (hashlib.md5((out / "spectrum.csv").read_bytes()).hexdigest()
+                == GOLDEN["template", "spectrum"]["spectrum.csv"])
+        reports.append((out / "metrics.txt").read_text().splitlines())
+    shifted, plain = reports
+    dropped = [line for line in shifted if line.startswith(
+        ("baseline_peak_ghz = ", "shift_vs_baseline_mhz = "))]
+    assert len(dropped) == 2
+    assert plain == [line for line in shifted if line not in dropped]

@@ -17,8 +17,8 @@ WINDOW = dict(omega_min=ghz(3.5), omega_max=ghz(5.5),
               coarse_step=ghz(0.002), refine_step=ghz(0.001))
 
 
-def run(space, objective=ObjectiveConfig()):
-    return optimize(space, TRANSMON, ETA, objective=objective, **WINDOW)
+def run(space, scheme="double", objective=ObjectiveConfig()):
+    return optimize(scheme, space, TRANSMON, ETA, objective=objective, **WINDOW)
 
 
 def test_seed_points_rule():
@@ -44,23 +44,23 @@ def test_seed_points_rule():
 
 def test_search_space_validation():
     with pytest.raises(ValueError):
-        SearchSpace((), (0.001,), "double")
+        SearchSpace((), (0.001,))
     with pytest.raises(ValueError):
-        SearchSpace((1e-9,), (-0.1,), "double")
+        SearchSpace((1e-9,), (-0.1,))
     with pytest.raises(ValueError, match="time constants"):
-        SearchSpace((math.nan,), (0.001,), "double")
+        SearchSpace((math.nan,), (0.001,))
     with pytest.raises(ValueError, match="duration ratios"):
-        SearchSpace((1e-9,), (math.nan,), "double")
+        SearchSpace((1e-9,), (math.nan,))
     with pytest.raises(ValueError):
-        SearchSpace((0.0,), (0.001,), "double")
-    # a cw space holds no (s, R) to search, and optimize refuses it
+        SearchSpace((0.0,), (0.001,))
+    # the cw scheme has no (s, R) to search, and optimize refuses it
     with pytest.raises(ValueError, match="cannot optimize the cw scheme"):
-        run(SearchSpace((1e-9,), (0.001,), "cw"))
+        run(SearchSpace((1e-9,), (0.001,)), "cw")
 
 
 def test_single_point_space():
     s3 = seed_points(ETA, [3.0])[0]
-    result = run(SearchSpace((s3,), (0.001,), "double"))
+    result = run(SearchSpace((s3,), (0.001,)))
     assert len(result.trace) == 1
     assert result.pareto_front == [result.best]
     assert result.best.s == s3 and result.best.ratio_r == 0.001
@@ -69,7 +69,7 @@ def test_single_point_space():
 
 def test_double_best_time_constant_is_k3():
     s_grid = tuple(seed_points(ETA, [2.5, 3.0, 3.5]))
-    result = run(SearchSpace(s_grid, (0.001,), "double"))
+    result = run(SearchSpace(s_grid, (0.001,)))
     assert result.best.s == pytest.approx(seed_points(ETA, [3.0])[0], rel=1e-12)
     assert to_mhz(result.best.metrics.fwhm) == pytest.approx(306.0, rel=0.1)
     # every candidate was feasible at the default peak floor
@@ -78,7 +78,7 @@ def test_double_best_time_constant_is_k3():
 
 def test_pareto_front_is_non_dominated():
     s_grid = tuple(seed_points(ETA, [2.0, 3.0, 4.0]))
-    result = run(SearchSpace(s_grid, (0.001, 0.01), "double"))
+    result = run(SearchSpace(s_grid, (0.001, 0.01)))
     front = result.pareto_front
     assert result.best in front
     for a in front:
@@ -95,15 +95,15 @@ def test_pareto_front_is_non_dominated():
 def test_enlarging_space_never_worsens():
     s_small = tuple(seed_points(ETA, [2.5, 3.5]))
     s_large = tuple(seed_points(ETA, [2.5, 3.0, 3.5]))
-    small = run(SearchSpace(s_small, (0.001,), "double"))
-    large = run(SearchSpace(s_large, (0.001,), "double"))
+    small = run(SearchSpace(s_small, (0.001,)))
+    large = run(SearchSpace(s_large, (0.001,)))
     assert large.best.metrics.fwhm <= small.best.metrics.fwhm
 
 
 def test_infeasible_constraint_raises_with_diagnosis():
     s3 = seed_points(ETA, [3.0])[0]
     with pytest.raises(InfeasibleError) as err:
-        run(SearchSpace((s3,), (0.001,), "double"),
+        run(SearchSpace((s3,), (0.001,)),
             objective=ObjectiveConfig(p_min=0.99))
     pt = err.value.best_peak_point
     assert pt is not None and pt.metrics.peak_value < 0.99
@@ -111,7 +111,7 @@ def test_infeasible_constraint_raises_with_diagnosis():
 
 def test_optimize_deterministic_and_rerunnable():
     s3 = seed_points(ETA, [3.0])[0]
-    space = SearchSpace((s3,), (0.001,), "double")
+    space = SearchSpace((s3,), (0.001,))
     first = run(space)
     second = run(space)
     assert first.best.metrics == second.best.metrics
@@ -132,11 +132,11 @@ def test_shift_constraint_filters_shifted_optima():
     # with the triple scheme, large R narrows the line but drags the peak;
     # capping the shift keeps the undisplaced operating point
     s2 = seed_points(ETA, [2.0])[0]
-    space = SearchSpace((s2,), (0.045, 0.08), "triple")
-    free = optimize(space, TRANSMON, ETA, objective=ObjectiveConfig(),
+    space = SearchSpace((s2,), (0.045, 0.08))
+    free = optimize("triple", space, TRANSMON, ETA, objective=ObjectiveConfig(),
                     **WINDOW)
     assert free.best.ratio_r == 0.08
-    capped = optimize(space, TRANSMON, ETA,
+    capped = optimize("triple", space, TRANSMON, ETA,
                       objective=ObjectiveConfig(shift_max=ghz(0.005)),
                       **WINDOW)
     assert capped.best.ratio_r == 0.045
@@ -147,8 +147,8 @@ def test_triple_grid_selects_undisplaced_ratio():
     # across a ratio grid spanning two decades the undisplaced narrow line
     # of the three-segment scheme sits at R = 0.045
     s2 = seed_points(ETA, [2.0])[0]
-    space = SearchSpace((s2,), (0.001, 0.01, 0.045, 0.1), "triple")
-    result = optimize(space, TRANSMON, ETA,
+    space = SearchSpace((s2,), (0.001, 0.01, 0.045, 0.1))
+    result = optimize("triple", space, TRANSMON, ETA,
                       objective=ObjectiveConfig(shift_max=ghz(0.005)),
                       **WINDOW)
     assert result.best.ratio_r == 0.045

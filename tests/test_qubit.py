@@ -104,7 +104,7 @@ def test_weak_coupling_limit(transmon):
 
 
 def test_dispersive_rate_fixture(transmon):
-    drive = DriveParams.from_ghz(0.1, 4.505)
+    drive = DriveParams(ghz(0.1), ghz(4.505))
     q = regime_quantities(transmon, drive, "dispersive")
     # independent arithmetic in GHz
     w_d = (math.sqrt(800.0 * abs(math.cos(math.pi * 0.49))) - 1.0) * 0.5
@@ -135,6 +135,6 @@ def test_dispersive_margin_warns(transmon):
 
 
 def test_unknown_regime_rejected(transmon):
-    drive = DriveParams.from_ghz(0.1, 4.5)
+    drive = DriveParams(ghz(0.1), ghz(4.5))
     with pytest.raises(ValueError):
         regime_quantities(transmon, drive, "adiabatic")

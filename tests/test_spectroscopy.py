@@ -246,8 +246,8 @@ def test_numeric_two_segment_average_matches_closed_double():
     # the general-order moment sum against the exact closed-form average
     grid = make_grid(W_RES - ghz(0.5), W_RES + ghz(0.5), ghz(0.05))
     lam, theta, delta_d = _grid_quantities(TRANSMON, ETA, grid)
-    closed = _pe_double_formula(lam, theta, delta_d, S3, 0.001)
-    numeric = _pe_grid_numeric(2, lam, theta, delta_d, S3, 0.001)
+    closed = _pe_double_formula(lam, theta, 0.001 * delta_d, S3)
+    numeric = _pe_grid_numeric(2, lam, theta, 0.001 * delta_d, S3)
     assert np.max(np.abs(closed - numeric)) < 1e-12
 
 
