@@ -174,14 +174,15 @@ def _moment(b: np.ndarray) -> np.ndarray:
     """I(b) from the table and, for |b| >= MOMENT_B, the asymptotic series."""
     flat = b.ravel()
     y = np.abs(flat)
-    y *= MOMENT_CELLS
     far = None
-    if not y.max(initial=0.0) < MOMENT_CELLS * MOMENT_B:
+    if not y.max(initial=0.0) < MOMENT_B:
         # rare: NaN and infinity land here too
-        far = np.flatnonzero(~(y < MOMENT_CELLS * MOMENT_B))
+        far = np.flatnonzero(~(y < MOMENT_B))
         b_far = flat[far]
         _require_finite(b_far, far)
         y[far] = 0.0
+    # scaled after the far arguments are cleared, so that none overflows
+    y *= MOMENT_CELLS
     cell = np.rint(y)
     y -= cell
     cell = cell.astype(np.intp)
@@ -193,7 +194,8 @@ def _moment(b: np.ndarray) -> np.ndarray:
         val *= y
         val += np.take(coef, cell)
     if far is not None:
-        w = 1.0 / (b_far * b_far)
+        with np.errstate(over="ignore"):  # w -> 0, the series' limit
+            w = 1.0 / (b_far * b_far)
         tail = np.full_like(w, _ASYMPTOTIC[0])
         for a in _ASYMPTOTIC[1:]:
             tail *= w
@@ -349,10 +351,12 @@ def _pe_grid_numeric(n_res: int, lam: np.ndarray, theta: np.ndarray,
     for _ in range(2 * n_res):
         c, sn = c * ct - sn * st, sn * ct + c * st
         cosines.append(c)
-    # elementwise only: a BLAS product rounds a point by its place in the grid
-    return sum(sum(a * cos_m for a, cos_m in zip(row, cosines))
-               * (2.0 * i_s((k * lam + l * rdd) / 2.0, s))
-               for k, l, row in zip(*_moment_table(n_res)))
+    # elementwise only: a BLAS product rounds a point by its place in the
+    # grid. An argument that overflows is refused by i_s as not finite.
+    with np.errstate(over="ignore"):
+        return sum(sum(a * cos_m for a, cos_m in zip(row, cosines))
+                   * (2.0 * i_s((k * lam + l * rdd) / 2.0, s))
+                   for k, l, row in zip(*_moment_table(n_res)))
 
 
 def _usable_cpus() -> int:
@@ -391,8 +395,6 @@ def mc_oracle(n_res: int, q_res: RegimeQuantities, q_disp: RegimeQuantities,
     about 1.7 MiB, and only the populations, 8 bytes per sample, grow with
     ``n_samples``.
     """
-    if n_res < 1:
-        raise ValueError(f"need at least one resonant segment, got {n_res}")
     rng = np.random.default_rng(mc.rng_seed)
     pe = np.empty(mc.n_samples)
     starts = range(0, mc.n_samples, MC_CHUNK)

@@ -9,8 +9,10 @@ the cross-check suite).
 Exit codes: 0 success, 2 configuration error or unusable output path,
 3 domain error, 4 infeasible optimization, 5 validation failure. Output
 files are written atomically (temporary file plus rename) and are
-byte-identical for identical configuration and seed. Reported metrics are computed on the values as
-printed, so re-reading a CSV reproduces them exactly.
+byte-identical for identical configuration and seed. Reported metrics are
+computed on the values as printed, so re-reading a CSV reproduces them
+exactly. Where two points of a swept grid print the same frequency, the
+CSV keeps the first of them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from itertools import compress
 
 import numpy as np
 
@@ -58,16 +61,15 @@ def _quantized_spectrum(spec: Spectrum) -> tuple[Spectrum, list[str]]:
     """Spectrum rounded to printed precision, plus its printed CSV rows.
 
     Each value is formatted once, and the rounded curve is what re-reading
-    the rows gives. Two grid points that print alike are a ConfigError.
+    the rows gives. Of grid points whose frequencies print alike, only the
+    first is kept: rounding is monotone, so they are neighbours.
     """
     rows = [f"{_fmt(g)},{_fmt(p)}" for g, p in zip(to_ghz(spec.omega), spec.p_e)]
-    ghz_vals, p_vals = _quantize(rows).T
-    same = np.flatnonzero(np.diff(ghz_vals) <= 0)
-    if same.size:
-        raise ConfigError(
-            f"[sweep] step_mhz: two points of the merged coarse and refine "
-            f"grids both print as {_fmt(ghz_vals[same[0]])} GHz")
-    return Spectrum(ghz_vals * RAD_PER_GHZ, p_vals.copy(), spec.scheme_tag), rows
+    values = _quantize(rows)
+    keep = np.diff(values[:, 0], prepend=-np.inf) > 0
+    ghz_vals, p_vals = values[keep].T
+    return (Spectrum(ghz_vals * RAD_PER_GHZ, p_vals.copy(), spec.scheme_tag),
+            list(compress(rows, keep)))
 
 
 def _metrics_report(tag: str, cfg: RunConfig, m: SpectrumMetrics) -> str:

@@ -220,9 +220,7 @@ def load_config(path: str) -> RunConfig:
     if eta <= 0:
         _fail("drive", "eta_ghz", "must be positive")
 
-    scheme = "double"
-    if parser.has_section("scheme"):
-        scheme = _Section(parser, "scheme").text("kind", "double")
+    scheme = _Section(parser, "scheme").text("kind", "double")
     checked("[scheme] kind", parse_scheme, scheme)
 
     sweep_sec = _Section(parser, "sweep")
@@ -242,62 +240,55 @@ def load_config(path: str) -> RunConfig:
     if not 0 < cw_amplitude <= 1:
         _fail("sweep", "cw_amplitude", "must lie in (0, 1]")
 
+    # a missing optional section has no keys, so each key's default applies
+    avg_sec = _Section(parser, "averaging")
     s_value = None
+    if avg_sec.has("s"):
+        s_value = checked("[averaging] s", parse_time_constant,
+                          avg_sec.text("s"), eta)
+        if s_value <= 0:
+            _fail("averaging", "s", "time constant must be positive")
     ratio_r = None
-    if parser.has_section("averaging"):
-        avg_sec = _Section(parser, "averaging")
-        if avg_sec.has("s"):
-            s_value = checked("[averaging] s", parse_time_constant,
-                              avg_sec.text("s"), eta)
-            if s_value <= 0:
-                _fail("averaging", "s", "time constant must be positive")
-        if avg_sec.has("r"):
-            ratio_r = avg_sec.number("r")
-            if ratio_r < 0:
-                _fail("averaging", "r", "must be non-negative")
+    if avg_sec.has("r"):
+        ratio_r = avg_sec.number("r")
+        if ratio_r < 0:
+            _fail("averaging", "r", "must be non-negative")
 
+    opt_sec = _Section(parser, "optimizer")
+    s_grid: list[float] = []
+    if opt_sec.has("k_values"):
+        k_values = _parse_values(opt_sec.text("k_values"), "optimizer", "k_values")
+        s_grid.extend(checked("[optimizer] k_values", seed_points, eta, k_values))
+    if opt_sec.has("s_values_ns"):
+        s_grid.extend(ns(v) for v in _parse_values(
+            opt_sec.text("s_values_ns"), "optimizer", "s_values_ns"))
     search = None
-    objective = ObjectiveConfig()
-    if parser.has_section("optimizer"):
-        opt_sec = _Section(parser, "optimizer")
-        s_grid: list[float] = []
-        if opt_sec.has("k_values"):
-            k_values = _parse_values(opt_sec.text("k_values"), "optimizer", "k_values")
-            s_grid.extend(checked("[optimizer] k_values", seed_points, eta, k_values))
-        if opt_sec.has("s_values_ns"):
-            s_grid.extend(ns(v) for v in _parse_values(
-                opt_sec.text("s_values_ns"), "optimizer", "s_values_ns"))
-        if opt_sec.has("r_values"):
-            r_grid = _parse_values(opt_sec.text("r_values"), "optimizer", "r_values")
-            if not s_grid:
-                _fail("optimizer", "k_values",
-                      "required with r_values, unless s_values_ns is given")
-            # R = 0 stands in until the s grid has passed, so that a refusal
-            # names its key; seed_points has refused non-positive seeds
-            search = checked("[optimizer] s_values_ns", SearchSpace,
-                             tuple(s_grid), (0.0,))
-            search = checked("[optimizer] r_values", replace, search, r_grid=r_grid)
-        elif s_grid:
-            _fail("optimizer", "r_values", "required with k_values or s_values_ns")
-        p_min = opt_sec.number("p_min", objective.p_min)
-        shift_max = None
-        if opt_sec.has("shift_max_mhz"):
-            shift_max = opt_sec.scaled("shift_max_mhz", RAD_PER_MHZ)
-            if shift_max <= 0:
-                _fail("optimizer", "shift_max_mhz", "must be positive")
-        objective = ObjectiveConfig(p_min, shift_max)
+    if opt_sec.has("r_values"):
+        r_grid = _parse_values(opt_sec.text("r_values"), "optimizer", "r_values")
+        if not s_grid:
+            _fail("optimizer", "k_values",
+                  "required with r_values, unless s_values_ns is given")
+        # R = 0 stands in until the s grid has passed, so that a refusal
+        # names its key; seed_points has refused non-positive seeds
+        search = checked("[optimizer] s_values_ns", SearchSpace,
+                         tuple(s_grid), (0.0,))
+        search = checked("[optimizer] r_values", replace, search, r_grid=r_grid)
+    elif s_grid:
+        _fail("optimizer", "r_values", "required with k_values or s_values_ns")
+    p_min = opt_sec.number("p_min", ObjectiveConfig.p_min)
+    shift_max = None
+    if opt_sec.has("shift_max_mhz"):
+        shift_max = opt_sec.scaled("shift_max_mhz", RAD_PER_MHZ)
+        if shift_max <= 0:
+            _fail("optimizer", "shift_max_mhz", "must be positive")
+    objective = ObjectiveConfig(p_min, shift_max)
 
-    mc = McConfig(10**6, 42)
-    if parser.has_section("mc"):
-        mc_sec = _Section(parser, "mc")
-        mc = checked("[mc] n_samples", replace, mc,
-                     n_samples=mc_sec.integer("n_samples", mc.n_samples))
-        mc = checked("[mc] seed", replace, mc,
-                     rng_seed=mc_sec.integer("seed", mc.rng_seed))
-
-    out_dir = "."
-    if parser.has_section("output"):
-        out_dir = _Section(parser, "output").text("out_dir", ".")
+    # seed 0 stands in until n_samples has passed, so that a refusal names
+    # its key
+    mc_sec = _Section(parser, "mc")
+    mc = checked("[mc] n_samples", McConfig, mc_sec.integer("n_samples", 10**6), 0)
+    mc = checked("[mc] seed", replace, mc, rng_seed=mc_sec.integer("seed", 42))
+    out_dir = _Section(parser, "output").text("out_dir", ".")
 
     return RunConfig(
         transmon=transmon, eta=eta, scheme=scheme,

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -217,6 +218,15 @@ def test_moment_names_the_first_non_finite_argument(method):
         with pytest.raises(DomainError, match=re.escape(
                 f"beta*s = {value} at flat index {index} is not finite")):
             i_s(beta, 1.0, method=method)
+
+
+def test_moment_of_a_huge_finite_argument_is_0_without_warnings():
+    # neither the scaling of b to table cells nor the far tail's b^2 may
+    # warn of an overflow; the moment's limit is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = i_s(np.array([1e200, 1e306, -1.7e308]), 1.0)
+    assert got.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_moment_paths_are_elementwise():
@@ -611,5 +621,6 @@ def test_mc_agrees_with_closed_triple_on_resonance():
 def test_mc_scheme_validation():
     drive, q_res, q_disp = quantities(W_RES)
     avg = AveragingParams(1e-9, 0.01)
-    with pytest.raises(ValueError):
+    # the BiasTrain of the first slice refuses the order
+    with pytest.raises(ValueError, match="need at least one resonant segment, got 0"):
         mc_oracle(0, q_res, q_disp, drive, avg, McConfig(10, 1))

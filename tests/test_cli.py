@@ -10,10 +10,10 @@ import pytest
 
 import ramseybias
 from ramseybias import AveragingParams, McConfig, Spectrum, metrics
-from ramseybias.cli import main
+from ramseybias.cli import _metrics_report, _quantized_spectrum, main
 from ramseybias.config import TEMPLATE, load_config
 from ramseybias.spectroscopy import sweep_refined
-from ramseybias.units import RAD_PER_GHZ, to_ghz
+from ramseybias.units import RAD_PER_GHZ, ghz, to_ghz
 from ramseybias.validation import CheckResult, ValidationReport, run_validation
 
 # small window keeps CLI runs around the peak fast while preserving
@@ -248,11 +248,6 @@ GRIDS = "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\n"
      "[sweep] cw_amplitude:"),
     ("optimize", "step_mhz = 2.0", "cw_amplitude = 1.1\nstep_mhz = 2.0", 2,
      "[sweep] cw_amplitude:"),
-    # the first coarse and refine points past 4 GHz differ by 0.1 Hz
-    ("spectrum", "step_mhz = 2.0", "step_mhz = 0.5000001", 2,
-     "[sweep] step_mhz:"),
-    ("baseline", "step_mhz = 2.0", "step_mhz = 0.5000001", 2,
-     "[sweep] step_mhz:"),
     ("optimize", "k_values = 3.0", "k_values = 1e300", 2, "[optimizer] k_values:"),
     ("validate", "k_values = 3.0", "", 2, "[optimizer] k_values:"),
     ("spectrum", "phi_disp = 0.49", "phi_disp = 0.5", 3, "domain error"),
@@ -286,6 +281,64 @@ def test_bad_configs_never_exit_1(tmp_path, capsys, command, old, new, code,
     assert blamed in capsys.readouterr().err
     # an overflow is refused before numpy can warn about it
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("text", [
+    TEMPLATE.replace("min_ghz = 3.5", "min_ghz = 4.0"),
+    TEMPLATE.replace("min_ghz = 3.5", "min_ghz = 4.3"),
+    # the first coarse and refine points past 4 GHz differ by 0.1 Hz
+    FAST_CFG.replace("step_mhz = 2.0", "step_mhz = 0.5000001"),
+], ids=["template_4.0", "template_4.3", "fast_step_0.5000001"])
+def test_narrowed_window_merges_rows_that_print_alike(tmp_path, text):
+    # coarse and refine points closer than the 9-digit print resolution
+    # print as one frequency; the CSV keeps the first, and each report is
+    # the metrics of the CSVs as printed
+    cfg_path = write_cfg(tmp_path, text)
+    cfg = load_config(cfg_path)
+    out = tmp_path / "out"
+    for command in ("baseline", "spectrum"):
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+    curves = {}
+    for tag, csv_name, report_name in (("cw", "baseline.csv",
+                                        "baseline_metrics.txt"),
+                                       (cfg.scheme, "spectrum.csv",
+                                        "metrics.txt")):
+        ghz_col, p_col = read_csv(out / csv_name)
+        assert np.all(np.diff(ghz_col) > 0)
+        curves[tag] = Spectrum(ghz_col * RAD_PER_GHZ, p_col, tag)
+        m = metrics(curves[tag], reference=curves["cw"] if tag != "cw" else None)
+        assert (out / report_name).read_text() == _metrics_report(tag, cfg, m)
+    swept = sweep_refined("cw", cfg.transmon, cfg.eta, cfg.omega_min,
+                          cfg.omega_max, cfg.coarse_step, cfg.refine_step,
+                          cw_amplitude=cfg.cw_amplitude)
+    assert len(curves["cw"]) < len(swept)
+
+
+@pytest.mark.parametrize("ratio, code", [("1e298", 3), ("1e297", 0)])
+def test_triple_ratio_below_the_refused_one_does_not_warn(tmp_path, capsys,
+                                                          ratio, code):
+    # R*delta_d is finite at both: at 1e298 a moment argument overflows and
+    # is refused as not finite; at 1e297 only the far tail's b^2 overflows,
+    # and the tail's limit, 0, is right
+    text = (TEMPLATE.replace("kind = double   ", "kind = triple   ")
+            .replace("r = 0.001  ", f"r = {ratio}  "))
+    assert "kind = triple" in text and f"r = {ratio}" in text
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["spectrum", "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == code
+    assert ("is not finite" in capsys.readouterr().err) == (code == 3)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_quantized_spectrum_keeps_the_first_of_rows_that_print_alike():
+    omega = ghz(4.0)
+    spec = Spectrum([omega, np.nextafter(omega, np.inf), ghz(4.1)],
+                    [0.25, 0.5, 0.75], "cw")
+    rounded, rows = _quantized_spectrum(spec)
+    assert rows == ["4,0.25", "4.1,0.75"]
+    assert rounded.omega.tolist() == [4.0 * RAD_PER_GHZ, 4.1 * RAD_PER_GHZ]
+    assert rounded.p_e.tolist() == [0.25, 0.75]
 
 
 def test_init_into_an_unusable_path_exits_2(tmp_path, capsys):

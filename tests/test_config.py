@@ -67,6 +67,7 @@ def test_minimal_defaults(tmp_path):
     assert cfg.search is None
     assert cfg.objective == ObjectiveConfig()
     assert cfg.mc == McConfig(10**6, 42)
+    assert cfg.out_dir == "."
 
 
 def test_time_constant_rule():

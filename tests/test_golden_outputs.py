@@ -24,6 +24,8 @@ CONFIGS = {
     "template": TEMPLATE,
     "triple": TRIPLE,
     "general4": TRIPLE.replace("kind = triple   ", "kind = general:4   "),
+    # the refine pass starts on the coarse lattice, a few ulps off it
+    "narrow": TEMPLATE.replace("min_ghz = 3.5", "min_ghz = 4.0"),
     "validate": TEMPLATE.replace("n_samples = 1000000", "n_samples = 20000"),
     # several Monte Carlo slices, the last one partial, at slices of 2^15
     # and of 2^13 samples
@@ -50,6 +52,12 @@ GOLDEN = {
     ("general4", "spectrum"): {
         "metrics.txt": "b8fac24d4e939952057b56cf7c8b609f",
         "spectrum.csv": "bd2cbf945f74e7d91cd682858ca1a594"},
+    ("narrow", "baseline"): {
+        "baseline.csv": "4c2df442223c5d3debcd10d8f5e87949",
+        "baseline_metrics.txt": "8c9ce1ba965e44ba456e5c89af7ac357"},
+    ("narrow", "spectrum"): {
+        "metrics.txt": "1c9bbf50806166900d37286fa4ef9104",
+        "spectrum.csv": "d2b81afc7a4c58ad3a61c5f41757eb21"},
     ("validate", "validate"): {
         "validation_report.txt": "0e1d6bde07cc688256ded5bb8b7ab45f"},
     ("validate_slices", "validate"): {
@@ -70,6 +78,7 @@ def test_variants_edit_the_template():
     assert "kind = triple" in TRIPLE and "s = 0.68pi/2eta" in TRIPLE
     assert "r = 0.045" in TRIPLE and "\nshift_max_mhz" not in TRIPLE
     assert "kind = general:4" in CONFIGS["general4"]
+    assert "min_ghz = 4.0" in CONFIGS["narrow"]
     assert "n_samples = 20000" in CONFIGS["validate"]
     assert "n_samples = 81937" in CONFIGS["validate_slices"]
 

@@ -26,7 +26,9 @@ import mpmath as mp
 import numpy as np
 
 # cells per unit of b, polynomial degree and the end B of the table; the
-# program reads all three from the shape of the table
+# program reads the degree from the shape of the table and holds the other
+# two as averaging.MOMENT_CELLS and MOMENT_B, which a test compares with
+# these
 CELLS = 512
 DEGREE = 4
 B = 12
