@@ -289,25 +289,27 @@ def test_bad_configs_never_exit_1(tmp_path, capsys, command, old, new, code,
     # the first coarse and refine points past 4 GHz differ by 0.1 Hz
     FAST_CFG.replace("step_mhz = 2.0", "step_mhz = 0.5000001"),
 ], ids=["template_4.0", "template_4.3", "fast_step_0.5000001"])
-def test_narrowed_window_merges_rows_that_print_alike(tmp_path, text):
+@pytest.mark.parametrize("command", ["baseline", "spectrum"])
+def test_narrowed_window_merges_rows_that_print_alike(tmp_path, command, text):
     # coarse and refine points closer than the 9-digit print resolution
     # print as one frequency; the CSV keeps the first, and each report is
-    # the metrics of the CSVs as printed
+    # the metrics of the CSVs as printed. The spectrum's report compares
+    # its peak with the cw line's, so its case runs baseline first.
     cfg_path = write_cfg(tmp_path, text)
     cfg = load_config(cfg_path)
     out = tmp_path / "out"
-    for command in ("baseline", "spectrum"):
-        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
     curves = {}
-    for tag, csv_name, report_name in (("cw", "baseline.csv",
-                                        "baseline_metrics.txt"),
-                                       (cfg.scheme, "spectrum.csv",
-                                        "metrics.txt")):
+    for step, tag, csv_name, report_name in (
+            ("baseline", "cw", "baseline.csv", "baseline_metrics.txt"),
+            ("spectrum", cfg.scheme, "spectrum.csv", "metrics.txt")):
+        assert main([step, "--config", cfg_path, "--out", str(out)]) == 0
         ghz_col, p_col = read_csv(out / csv_name)
         assert np.all(np.diff(ghz_col) > 0)
         curves[tag] = Spectrum(ghz_col * RAD_PER_GHZ, p_col, tag)
         m = metrics(curves[tag], reference=curves["cw"] if tag != "cw" else None)
         assert (out / report_name).read_text() == _metrics_report(tag, cfg, m)
+        if step == command:
+            break
     swept = sweep_refined("cw", cfg.transmon, cfg.eta, cfg.omega_min,
                           cfg.omega_max, cfg.coarse_step, cfg.refine_step,
                           cw_amplitude=cfg.cw_amplitude)
