@@ -12,8 +12,14 @@ reported alongside.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
+import threading
+import warnings
 from dataclasses import dataclass
 
+from . import averaging
 from .averaging import AveragingParams
 from .errors import InfeasibleError, MetricsError
 from .qubit import TransmonParams
@@ -92,6 +98,121 @@ def _dominates(a: SpectrumMetrics, b: SpectrumMetrics) -> bool:
     return no_worse and better
 
 
+def _outcomes(evaluate, points: list) -> list:
+    """(result, warnings) of each point in turn, up to and including the
+    first point that raises.
+
+    A result is the point's EvalPoint or the exception it raised; its
+    warnings are (message, filename, lineno) triples, all recorded, so that
+    :func:`_reissue` applies the caller's filters to them.
+    """
+    out = []
+    for point in points:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = evaluate(point)
+            except Exception as exc:  # raised in grid order by _evaluate_all
+                result = exc
+        out.append((result, [(w.message, w.filename, w.lineno) for w in caught]))
+        if isinstance(result, Exception):
+            break
+    return out
+
+
+def _run_child(evaluate, points: list, pipe_fd: int):
+    """Body of a forked worker: send the pickled outcomes down the pipe and
+    exit. It never returns into the caller's stack, runs no atexit handler
+    and writes nothing to the standard streams; on any failure the pipe is
+    left incomplete and the status is 1."""
+    status = 1
+    try:
+        data = pickle.dumps(_outcomes(evaluate, points), pickle.HIGHEST_PROTOCOL)
+        with open(pipe_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reissue(message: Warning, filename: str, lineno: int) -> None:
+    """Issue a recorded warning again as ``warnings.warn`` did: under the
+    name and with the registry of the module it came from, so that the
+    caller's filters and their once-per-location rule see the same call."""
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    registry = (None if module is None
+                else vars(module).setdefault("__warningregistry__", {}))
+    warnings.warn_explicit(message, type(message), filename, lineno,
+                           getattr(module, "__name__", None), registry)
+
+
+def _evaluate_all(evaluate, points: list) -> list:
+    """``evaluate`` at every point, on w = min(usable CPUs, points) workers.
+
+    Point i goes to worker i mod w. Worker 0 is this process; the others
+    are forked children that send their outcomes back pickled over a pipe.
+    The outcomes merge in point order: each point's warnings are issued
+    again and the first point that raised raises here, so the results, the
+    warnings and the error are those of a serial run. The run is serial
+    where fork is missing or another thread is alive, since forking a
+    process with threads can deadlock the child. A child that exits without
+    sending all its outcomes raises RuntimeError naming its exit status.
+    """
+    workers = min(averaging._usable_cpus(), len(points))
+    if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [evaluate(point) for point in points]
+    pids, pipes = [], []
+    try:
+        for j in range(1, workers):
+            try:
+                read_fd, write_fd = os.pipe()
+                pipes.append(read_fd)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _run_child(evaluate, points[j::workers], write_fd)
+                finally:
+                    os.close(write_fd)
+            except OSError as exc:
+                # not an output-path error, as the CLI reads an OSError
+                raise RuntimeError(f"cannot start an optimizer worker: {exc}") from exc
+            pids.append(pid)
+        shares = [_outcomes(evaluate, points[::workers])]
+        # read to the end before waiting: a child blocks on a full pipe
+        sent = []
+        for fd in pipes:
+            with open(fd, "rb", closefd=False) as pipe:
+                sent.append(pipe.read())
+        for data in sent:
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            if status != 0:
+                raise RuntimeError(f"optimizer worker exited with status "
+                                   f"{status} before sending all its results")
+            shares.append(pickle.loads(data))
+    finally:
+        for fd in pipes:
+            os.close(fd)
+        if pids:
+            # left only when this process failed or was interrupted; signal
+            # is imported here so that starting the CLI loads no more modules
+            import signal
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+    trace = []
+    for i in range(len(points)):
+        result, caught = shares[i % workers][i // workers]
+        for warning in caught:
+            _reissue(*warning)
+        if isinstance(result, Exception):
+            raise result
+        trace.append(result)
+    return trace
+
+
 def optimize(scheme: str, space: SearchSpace, transmon: TransmonParams,
              eta: float, omega_min: float, omega_max: float, coarse_step: float,
              refine_step: float, objective: ObjectiveConfig = ObjectiveConfig(),
@@ -99,7 +220,12 @@ def optimize(scheme: str, space: SearchSpace, transmon: TransmonParams,
     """Exhaustively evaluate the (s, R) grid and pick the constrained best.
 
     Every grid point runs the two-stage sweep plus metrics against a shared
-    cw reference. The best point minimizes the width among feasible points
+    cw reference. The points, in s-major order, are shared out over every
+    usable CPU in forked workers (see :func:`_evaluate_all`); the trace,
+    the warnings and the error raised are those of a serial run, whatever
+    the CPU count. A point whose metrics fail is recorded as infeasible;
+    any other error of a point is raised, that of the first failing point
+    in grid order. The best point minimizes the width among feasible points
     (peak >= p_min and, when set, |shift| <= shift_max); ties prefer larger
     peak, then smaller R, then smaller s. Raises InfeasibleError when no
     point is feasible, carrying the best-peak point for diagnosis.
@@ -109,22 +235,23 @@ def optimize(scheme: str, space: SearchSpace, transmon: TransmonParams,
     cw_ref = sweep_refined("cw", transmon, eta, omega_min, omega_max,
                            coarse_step, refine_step, cw_amplitude=cw_amplitude)
 
-    trace: list[EvalPoint] = []
-    for s in space.s_grid:
-        for r in space.r_grid:
-            avg = AveragingParams(s, r)
-            try:
-                spec = sweep_refined(scheme, transmon, eta, omega_min,
-                                     omega_max, coarse_step, refine_step, avg,
-                                     cw_amplitude=cw_amplitude)
-                m = metrics(spec, reference=cw_ref)
-            except MetricsError:
-                trace.append(EvalPoint(s, r, None, False))
-                continue
-            feasible = m.peak_value >= objective.p_min
-            if feasible and objective.shift_max is not None:
-                feasible = abs(m.shift_vs_ref) <= objective.shift_max
-            trace.append(EvalPoint(s, r, m, feasible))
+    def evaluate(point: tuple[float, float]) -> EvalPoint:
+        s, r = point
+        avg = AveragingParams(s, r)
+        try:
+            spec = sweep_refined(scheme, transmon, eta, omega_min, omega_max,
+                                 coarse_step, refine_step, avg,
+                                 cw_amplitude=cw_amplitude)
+            m = metrics(spec, reference=cw_ref)
+        except MetricsError:
+            return EvalPoint(s, r, None, False)
+        feasible = m.peak_value >= objective.p_min
+        if feasible and objective.shift_max is not None:
+            feasible = abs(m.shift_vs_ref) <= objective.shift_max
+        return EvalPoint(s, r, m, feasible)
+
+    trace = _evaluate_all(evaluate, [(s, r) for s in space.s_grid
+                                     for r in space.r_grid])
 
     feasible_pts = [pt for pt in trace if pt.feasible]
     if not feasible_pts:

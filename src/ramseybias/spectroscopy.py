@@ -106,9 +106,10 @@ def pe_average(n_res: int, lam: ArrayLike, theta: ArrayLike,
     phase rate delta_d, as scalars (returns a float) or as grids (returns an
     array). The two-segment train uses its exact closed form, every other
     order the exact moment sum of ``_pe_grid_numeric``; both take the
-    product R*delta_d formed here, and a product that overflows raises
-    DomainError. Raw values are returned; values outside [0, 1] beyond
-    tolerance are warned about, never clamped here.
+    product R*delta_d formed here. A product that overflows, or a moment
+    argument that overflows with it, raises DomainError naming R. Raw
+    values are returned; values outside [0, 1] beyond tolerance are warned
+    about, never clamped here.
     """
     if n_res < 1:
         raise ValueError(f"need at least one resonant segment, got {n_res}")
@@ -116,10 +117,14 @@ def pe_average(n_res: int, lam: ArrayLike, theta: ArrayLike,
         rdd = avg.ratio_r * np.asarray(delta_d, dtype=float)
     if not np.all(np.isfinite(rdd)):
         raise DomainError(f"R*delta_d at R = {avg.ratio_r:g} is not finite")
-    if n_res == 2:
-        raw = _pe_double_formula(lam, theta, rdd, avg.s)
-    else:
-        raw = _pe_grid_numeric(n_res, lam, theta, rdd, avg.s)
+    try:
+        if n_res == 2:
+            raw = _pe_double_formula(lam, theta, rdd, avg.s)
+        else:
+            raw = _pe_grid_numeric(n_res, lam, theta, rdd, avg.s)
+    except DomainError as exc:
+        # a multiple of R*delta_d in a moment argument overflowed
+        raise DomainError(f"at R = {avg.ratio_r:g}, {exc}") from exc
     _check_range(raw, f"{n_res}-segment train average")
     return float(np.ravel(raw)[0]) if np.ndim(lam) == 0 else raw
 

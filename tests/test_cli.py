@@ -259,6 +259,9 @@ GRIDS = "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\n"
     ("spectrum", "r = 0.001\n", "r = 1e300\n", 3, "is not finite"),
     ("validate", "r = 0.001\n", "r = 1e300\n", 3, "is not finite"),
     ("optimize", "r_values = 0.001", "r_values = 1e300", 3, "is not finite"),
+    # the failing point is the second: a forked worker's on two CPUs
+    ("optimize", "r_values = 0.001", "r_values = 0.001, 1e300", 3,
+     "R*delta_d at R = 1e+300 is not finite"),
     # an output path at or below a regular file (run.cfg) cannot be used
     ("spectrum", "out_dir = {out}", "out_dir = {out}/run.cfg/sub", 2,
      "[output] out_dir: unusable output path"),
@@ -331,6 +334,24 @@ def test_triple_ratio_below_the_refused_one_does_not_warn(tmp_path, capsys,
                      "--out", str(tmp_path / "out")]) == code
     assert ("is not finite" in capsys.readouterr().err) == (code == 3)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "optimize"])
+def test_moment_overflow_names_the_ratio(tmp_path, capsys, command):
+    # R*delta_d is finite at R = 1e298, but a multiple of it in a moment
+    # argument of the triple sum overflows; optimize fails at its second
+    # point, a forked worker's on two CPUs
+    text = (TEMPLATE.replace("kind = double   ", "kind = triple   ")
+            .replace("r = 0.001  ", "r = 1e298  ")
+            .replace("k_values = 2.5, 3.0, 3.5 ", "k_values = 2.0 ")
+            .replace("r_values = logspace:0.0005,0.1,12",
+                     "r_values = 0.045, 1e298"))
+    assert "k_values = 2.0 " in text and "r_values = 0.045, 1e298" in text
+    assert main([command, "--config", write_cfg(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "domain error: at R = 1e+298, moment argument" in err
+    assert "is not finite" in err
 
 
 def test_quantized_spectrum_keeps_the_first_of_rows_that_print_alike():
@@ -491,3 +512,26 @@ def test_validate_on_one_cpu_matches_every_cpu(tmp_path):
         reports.append((out / "validation_report.txt").read_bytes())
     assert reports[0] == reports[1]
     assert b"overall = pass" in reports[0]
+
+
+def test_optimize_on_one_cpu_matches_every_cpu(tmp_path):
+    # optimize shares its grid points out over every usable CPU in forked
+    # workers; a process pinned to one evaluates them all itself
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is not available on this platform")
+    cpu = min(os.sched_getaffinity(0))
+    cfg = write_cfg(tmp_path, FAST_CFG + "\n[optimizer]\nk_values = 2.5, 3.0, 3.5\n"
+                                         "r_values = 0.001, 0.01, 0.1\n")
+    outputs = []
+    for run, pin in (("pinned", lambda: os.sched_setaffinity(0, {cpu})),
+                     ("free", None)):
+        out = tmp_path / run
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramseybias.cli", "optimize", "--config",
+             cfg, "--out", str(out)], preexec_fn=pin, env=_src_env(),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in
+                        ("optimize_trace.csv", "optimize_summary.txt")])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].startswith(b"status = ok") and b"evaluated = 9" in outputs[0][1]

@@ -1,12 +1,19 @@
 """Duration-parameter grid search."""
 
+import contextlib
 import math
+import os
+import signal
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from ramseybias import (InfeasibleError, ObjectiveConfig, SearchSpace,
-                        TransmonParams, omega_eg, optimize, seed_points)
+from ramseybias import (DomainError, InfeasibleError, ObjectiveConfig,
+                        SearchSpace, TransmonParams, averaging, omega_eg,
+                        optimize, optimizer, seed_points)
 from ramseybias.units import ghz, to_mhz
 
 TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)
@@ -153,3 +160,107 @@ def test_triple_grid_selects_undisplaced_ratio():
                       **WINDOW)
     assert result.best.ratio_r == 0.045
     assert result.best.s == s2
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    # a hung wait on a worker fails the test instead of stalling the suite
+    def expire(signum, frame):
+        raise TimeoutError(f"optimize still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def forking(monkeypatch, workers):
+    monkeypatch.setattr(averaging, "_usable_cpus", lambda: workers)
+    # optimize runs serially while another thread is alive
+    assert threading.active_count() == 1
+
+
+@pytest.mark.parametrize("r_grid, blamed", [
+    # the first failure is a child's point, a later one this process's
+    ((0.001, 1e300, 1e305), "R = 1e+300"),
+    # the first failure is this process's point, a later one a child's
+    ((1e305, 1e300, 0.001), "R = 1e+305"),
+    ((0.001, 0.01, 1e305, 1e300), "R = 1e+305"),
+])
+def test_optimize_raises_the_first_failing_point_in_grid_order(
+        monkeypatch, r_grid, blamed):
+    space = SearchSpace(tuple(seed_points(ETA, [3.0])), r_grid)
+    raised = []
+    for workers in (1, 2, 3):
+        forking(monkeypatch, workers)
+        with deadline(120), pytest.raises(DomainError) as err:
+            run(space)
+        raised.append((type(err.value), str(err.value)))
+        assert_no_child_left()
+    assert raised[0] == raised[1] == raised[2]
+    assert blamed in raised[0][1] and "is not finite" in raised[0][1]
+
+
+@pytest.mark.parametrize("action", ["always", "default"])
+def test_optimize_reissues_the_warnings_of_a_serial_run(monkeypatch, action):
+    # the dispersive splitting at 3.04 GHz lies within 10 eta of the sweep;
+    # every coarse pass warns alike, so the "default" action shows it once
+    transmon = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.48)
+    space = SearchSpace(tuple(seed_points(ETA, [2.5, 3.0, 3.5])), (0.001, 0.01))
+    runs = []
+    for workers in (1, 2):
+        forking(monkeypatch, workers)
+        with deadline(120), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            result = optimize("double", space, transmon, ETA, **WINDOW)
+        runs.append(([(w.category, str(w.message), w.filename, w.lineno)
+                      for w in caught], result.trace))
+    assert runs[0] == runs[1]
+    messages = [text for _, text, _, _ in runs[0][0]]
+    assert all("of the dispersive-bias splitting" in text for text in messages)
+    assert len(messages) == (12 if action == "always" else 7)
+
+
+def test_optimize_leaves_no_child_process(monkeypatch):
+    s3 = seed_points(ETA, [3.0])[0]
+    space = SearchSpace((s3,), (0.001, 0.01))
+    forking(monkeypatch, 2)
+    with deadline(120):
+        assert len(run(space).trace) == 2
+    assert_no_child_left()
+
+    parent = os.getpid()
+    sweep = optimizer.sweep_refined
+
+    def child_exits(scheme, *args, **kwargs):
+        # the point at R = 0.01 is the forked worker's
+        if os.getpid() != parent and args[6:] and args[6].ratio_r == 0.01:
+            os._exit(1)
+        return sweep(scheme, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "sweep_refined", child_exits)
+    with deadline(120), pytest.raises(RuntimeError, match="status 1 before"):
+        run(space)
+    assert_no_child_left()
+
+    def interrupted_while_child_runs(scheme, *args, **kwargs):
+        if args[6:] and args[6].ratio_r == 0.01:
+            time.sleep(60)
+        elif args[6:] and args[6].ratio_r == 0.001:
+            raise KeyboardInterrupt
+        return sweep(scheme, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "sweep_refined", interrupted_while_child_runs)
+    start = time.perf_counter()
+    with deadline(120), pytest.raises(KeyboardInterrupt):
+        run(space)
+    # the sleeping child was killed, not waited for
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()
