@@ -6,11 +6,11 @@ accumulation at rate delta_d). Segment updates are written in the laboratory
 frame, so the running start time ``t0`` of each segment enters the
 cross-coupling phases and must be threaded through compositions.
 
-Closed forms for the separated-field amplitudes after two and three
-resonant segments are provided alongside a general numeric composer for
-trains of any order. The composer is the independent cross-check: it runs
-under the Monte Carlo oracle, while spectra are evaluated by the exact
-moment sum of ``averaging``.
+A numeric composer folds trains of any order in that frame, and a
+phase-free recursion gives their excited population, from which
+``averaging`` builds the moment sum that every spectrum comes from. The
+composer is the independent cross-check: it runs under the Monte Carlo
+oracle, and ``validate`` compares its population with the recursion's.
 
 All functions broadcast over NumPy arrays in ``tau``/``t0``/amplitudes.
 The composer evaluates a Monte Carlo ensemble of durations as whole-array
@@ -111,42 +111,6 @@ def dispersive_phase(state: QubitAmplitudes, delta_d: float, omega: float,
     return QubitAmplitudes(state.c_e * phase, state.c_g / phase)
 
 
-def ce_double(q_res: RegimeQuantities, q_disp: RegimeQuantities,
-              drive: DriveParams, tau: ArrayLike, t_disp: ArrayLike) -> ArrayLike:
-    """Closed-form excited amplitude after a tau / T / tau train.
-
-    Ground-state start. Equal to composing resonant, dispersive and
-    resonant updates step by step; an oracle for :func:`compose_train`, run
-    by ``validate`` and the tests.
-    """
-    tau = np.asarray(tau, dtype=float)
-    lam_tau = q_res.lam * tau
-    c = np.cos(lam_tau)
-    s = np.sin(lam_tau)
-    ct = np.cos(q_res.theta)
-    st = np.sin(q_res.theta)
-    x = q_disp.delta_d * np.asarray(t_disp, dtype=float)
-    envelope = -2j * np.exp(-1j * drive.omega * (tau + np.asarray(t_disp) / 2.0))
-    return envelope * st * s * (c * np.cos(x) - ct * s * np.sin(x))
-
-
-def ce_triple(q_res: RegimeQuantities, q_disp: RegimeQuantities,
-              drive: DriveParams, tau: ArrayLike, t_disp: ArrayLike) -> ArrayLike:
-    """Closed-form excited amplitude after a tau/T/tau/T/tau train."""
-    tau = np.asarray(tau, dtype=float)
-    lam_tau = q_res.lam * tau
-    c = np.cos(lam_tau)
-    s = np.sin(lam_tau)
-    ct = np.cos(q_res.theta)
-    st = np.sin(q_res.theta)
-    x2 = 2.0 * q_disp.delta_d * np.asarray(t_disp, dtype=float)
-    bracket = (2.0 * (c * c - ct * ct * s * s) * np.cos(x2)
-               - 2.0 * ct * np.sin(2.0 * lam_tau) * np.sin(x2)
-               + c * c + np.cos(2.0 * q_res.theta) * s * s)
-    envelope = -1j * np.exp(-1j * drive.omega * (1.5 * tau + np.asarray(t_disp)))
-    return envelope * st * s * bracket
-
-
 def compose_train(q_res: RegimeQuantities, q_disp: RegimeQuantities,
                   drive: DriveParams, train: BiasTrain) -> QubitAmplitudes:
     """Fold the laboratory-frame segment updates over a full bias train.
@@ -163,8 +127,8 @@ def compose_train(q_res: RegimeQuantities, q_disp: RegimeQuantities,
     the cross-coupling phase e^{-i omega t0}: it is multiplied by the advance
     before each later segment, so the laboratory start time is threaded
     through by multiplication. For n_res = 1 it is one
-    :func:`propagate_segment` from the ground state, and for n_res = 2, 3
-    the excited amplitude reproduces :func:`ce_double` and :func:`ce_triple`.
+    :func:`propagate_segment` from the ground state, and for every order
+    |c_e|^2 reproduces :func:`train_excitation`.
     """
     shape = np.shape(train.tau)
     # numpy's scalar loops round differently: compute a scalar as one sample

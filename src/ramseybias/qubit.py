@@ -113,16 +113,16 @@ def omega_eg(params: TransmonParams, phi: float) -> float:
     ------
     DomainError
         If ``phi`` is outside [0, 1) or the resulting gap is not positive
-        (flux too close to half a flux quantum).
+        (flux too close to half a flux quantum) or not finite (an energy
+        that overflows).
     """
     if not 0.0 <= phi < 1.0:
         raise DomainError(f"reduced flux must lie in [0, 1), got {phi}")
     e_j = params.ej_ratio * params.e_c
     gap = math.sqrt(8.0 * params.e_c * e_j * abs(math.cos(math.pi * phi))) - params.e_c
-    if gap <= 0.0:
-        raise DomainError(
-            f"no valid two-level gap at phi={phi}: splitting {gap:.3e} rad/s <= 0"
-        )
+    if not 0.0 < gap < math.inf:
+        raise DomainError(f"no valid two-level gap at phi={phi}: splitting "
+                          f"{gap:.3e} rad/s is not positive and finite")
     return gap
 
 

@@ -25,7 +25,7 @@ from .units import to_ghz
 
 CW_AMPLITUDE_DEFAULT = 0.5
 
-# most points of one sweep grid: bounds a sweep's arrays (8 MB each)
+# most points of a sweep grid (8 MB per array) or of a moment torus
 MAX_GRID_POINTS = 10**6
 
 # detection threshold for fringe listing, as a fraction of the peak value
@@ -82,6 +82,14 @@ def _grid_quantities(transmon: TransmonParams, eta: float,
     return q_res.lam, q_res.theta, q_disp.delta_d
 
 
+def _train_order(n_res: int) -> int:
+    """``n_res``, once its moment torus of (4n+1)^2 (4n-3) points is known
+    to fit in ``MAX_GRID_POINTS`` (orders 1 to 25)."""
+    if n_res < 1 or (4 * n_res + 1) ** 2 * (4 * n_res - 3) > MAX_GRID_POINTS:
+        raise ValueError(f"need 1 to 25 resonant segments, got {n_res}")
+    return n_res
+
+
 def parse_scheme(scheme: str) -> int | None:
     """Resonant-segment count of a scheme tag; None for "cw"."""
     if scheme == "cw":
@@ -91,10 +99,7 @@ def parse_scheme(scheme: str) -> int | None:
     if scheme == "triple":
         return 3
     if scheme.startswith("general:"):
-        n = int(scheme.split(":", 1)[1])
-        if n < 1:
-            raise ValueError(f"general scheme needs >= 1 resonant segments, got {n}")
-        return n
+        return _train_order(int(scheme.split(":", 1)[1]))
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -111,8 +116,7 @@ def pe_average(n_res: int, lam: ArrayLike, theta: ArrayLike,
     values are returned; values outside [0, 1] beyond tolerance are warned
     about, never clamped here.
     """
-    if n_res < 1:
-        raise ValueError(f"need at least one resonant segment, got {n_res}")
+    _train_order(n_res)
     with np.errstate(over="ignore"):
         rdd = avg.ratio_r * np.asarray(delta_d, dtype=float)
     if not np.all(np.isfinite(rdd)):

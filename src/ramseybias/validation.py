@@ -1,11 +1,12 @@
-"""Cross-validation suite: every closed form against an independent route.
+"""Cross-validation suite: every fast path against an independent route.
 
-The suite pits the separated-field closed forms against the numeric train
-composer, the duration averages that every curve comes from (the
-two-segment closed form and the three-segment moment sum) against Monte
-Carlo sampling at random detunings, the tabulated moment against
-Gauss-Legendre quadrature, and sweeps unitarity and probability ranges. It
-is pure given its seed, so repeated runs render byte-identical reports.
+The suite pits the phase-free train population, from which every moment
+table comes, against the laboratory-frame composer at orders 1 to 6, the
+duration averages that every curve comes from (the two-segment closed form
+and the three-segment moment sum) against Monte Carlo sampling at random
+detunings, the tabulated moment against Gauss-Legendre quadrature, and
+sweeps unitarity and probability ranges. It is pure given its seed, so
+repeated runs render byte-identical reports.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import RANGE_TOL, AveragingParams, McConfig, i_s, mc_oracle
-from .evolution import (BiasTrain, GROUND, ce_double, ce_triple, compose_train,
-                        dispersive_phase, propagate_segment)
+from .evolution import (BiasTrain, GROUND, compose_train, dispersive_phase,
+                        propagate_segment, train_excitation)
 from .optimizer import seed_points
 from .qubit import DriveParams, TransmonParams, omega_eg, regime_quantities
 from .spectroscopy import _grid_quantities, make_grid, pe_average
@@ -84,34 +85,27 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
     w_res = omega_eg(transmon, transmon.phi_res)
     checks: list[CheckResult] = []
 
-    # closed separated-field amplitudes vs the numeric composer
-    for name, n_res, closed in (("closed_vs_composed_double", 2, ce_double),
-                                ("closed_vs_composed_triple", 3, ce_triple)):
-        worst = 0.0
-        for _ in range(100):
-            omega = rng.uniform(0.8 * w_res, 1.2 * w_res)
-            drive, q_res, q_disp = _quantities(transmon, eta, omega)
-            tau = rng.uniform(0.0, 6.0 / eta, size=10)
-            ratio = float(rng.uniform(0.0, 0.2))
-            want = closed(q_res, q_disp, drive, tau, ratio * tau)
-            got = compose_train(q_res, q_disp, drive,
-                                BiasTrain(n_res, tau, ratio)).c_e
-            worst = max(worst, float(np.max(np.abs(want - got))))
-        checks.append(CheckResult(name, worst <= 1e-10, worst, 1e-10,
-                                  "max |closed - composed| over 1000 draws"))
-
-    # unitarity of composed trains
-    worst = 0.0
-    for _ in range(60):
+    # the phase-free population that every moment table comes from vs the
+    # laboratory-frame composer, and the composer's norm, on the same trains
+    worst_pop = worst_norm = 0.0
+    for _ in range(200):
         omega = rng.uniform(0.8 * w_res, 1.2 * w_res)
         drive, q_res, q_disp = _quantities(transmon, eta, omega)
         n_res = int(rng.integers(1, 7))
-        tau = rng.uniform(0.0, 6.0 / eta, size=20)
-        train = BiasTrain(n_res, tau, float(rng.uniform(0.0, 0.2)))
-        state = compose_train(q_res, q_disp, drive, train)
-        worst = max(worst, float(np.max(np.abs(state.norm_sq() - 1.0))))
-    checks.append(CheckResult("train_norm_preservation", worst <= 1e-12,
-                              worst, 1e-12,
+        tau = rng.uniform(0.0, 6.0 / eta, size=10)
+        ratio = float(rng.uniform(0.0, 0.2))
+        state = compose_train(q_res, q_disp, drive, BiasTrain(n_res, tau, ratio))
+        want = train_excitation(n_res, q_res.lam * tau, q_res.theta,
+                                q_disp.delta_d * ratio * tau)
+        worst_pop = max(worst_pop, float(np.max(np.abs(state.p_e() - want))))
+        worst_norm = max(worst_norm,
+                         float(np.max(np.abs(state.norm_sq() - 1.0))))
+    checks.append(CheckResult("train_population_vs_composed", worst_pop <= 1e-10,
+                              worst_pop, 1e-10,
+                              "max |train_excitation - composed p_e| over "
+                              "random trains, order 1..6"))
+    checks.append(CheckResult("train_norm_preservation", worst_norm <= 1e-12,
+                              worst_norm, 1e-12,
                               "max |norm - 1| over random trains, order 1..6"))
 
     # tabulated cosine-weighted moment vs quadrature, in the dimensionless

@@ -24,10 +24,11 @@ import numpy as np
 import pytest
 
 from ramseybias import (AveragingParams, BiasTrain, DriveParams, McConfig,
-                        TransmonParams, ce_double, ce_triple, compose_train,
-                        mc_oracle, metrics, omega_eg, pe_average,
-                        regime_quantities, run_validation, sweep_refined)
+                        TransmonParams, compose_train, mc_oracle, metrics,
+                        omega_eg, pe_average, regime_quantities,
+                        run_validation, sweep_refined)
 from ramseybias.units import ghz, to_ghz, to_mhz
+from closed_amplitudes import ce_double, ce_triple
 from triple_closed_form import pe_avg_triple_closed
 
 ETA = ghz(0.1)

@@ -17,13 +17,14 @@ from scipy import integrate
 from scipy.optimize import minimize_scalar
 
 from ramseybias import (AveragingParams, BiasTrain, DomainError, DriveParams,
-                        McConfig, TransmonParams, averaging, ce_double,
-                        compose_train, i_s, make_grid, mc_oracle, omega_eg,
-                        pe_average, regime_quantities, sample_maxwell, sweep)
+                        McConfig, TransmonParams, averaging, compose_train,
+                        i_s, make_grid, mc_oracle, omega_eg, pe_average,
+                        regime_quantities, sample_maxwell, sweep)
 from ramseybias.averaging import X_CUTOFF, _moment_table, _pe_grid_numeric
 from ramseybias.evolution import train_excitation
 from ramseybias.spectroscopy import _grid_quantities
 from ramseybias.units import ghz
+from closed_amplitudes import ce_double
 from triple_closed_form import pe_avg_triple_closed
 
 TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)

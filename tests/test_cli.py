@@ -251,6 +251,13 @@ GRIDS = "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\n"
     ("optimize", "k_values = 3.0", "k_values = 1e300", 2, "[optimizer] k_values:"),
     ("validate", "k_values = 3.0", "", 2, "[optimizer] k_values:"),
     ("spectrum", "phi_disp = 0.49", "phi_disp = 0.5", 3, "domain error"),
+    # an energy that overflows leaves a gap of inf - inf = nan, or of inf
+    ("validate", "phi_res = 0.46", "ec_ghz = 1e300\nphi_res = 0.46", 3,
+     "no valid two-level gap"),
+    ("validate", "phi_res = 0.46", "ej_ratio = 1e305\nphi_res = 0.46", 3,
+     "no valid two-level gap"),
+    # its moment torus would hold 1.1e6 points, past MAX_GRID_POINTS
+    ("spectrum", "kind = double", "kind = general:26", 2, "[scheme] kind:"),
     # the line peaks above a 100 MHz window
     ("spectrum", "max_ghz = 5.0", "max_ghz = 4.1", 3, "grid boundary"),
     ("optimize", "r_values = 0.001", "r_values = 0.001\np_min = 0.99", 4,
@@ -429,6 +436,15 @@ def test_cli_import_leaves_out_scipy_integrate(tmp_path):
                            str(tmp_path / "out")], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_export_list_resolves():
+    # every exported name exists, so a star import brings in all of them
+    assert len(set(ramseybias.__all__)) == len(ramseybias.__all__)
+    assert all(hasattr(ramseybias, name) for name in ramseybias.__all__)
+    namespace = {}
+    exec("from ramseybias import *", namespace)
+    assert set(ramseybias.__all__) <= set(namespace)
 
 
 def test_validate_is_byte_identical_across_fresh_processes(tmp_path):

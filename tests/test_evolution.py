@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from ramseybias import (BiasTrain, DriveParams, QubitAmplitudes,
-                        TransmonParams, ce_double, ce_triple, compose_train,
-                        dispersive_phase, propagate_segment, regime_quantities,
-                        sample_maxwell)
+                        TransmonParams, compose_train, dispersive_phase,
+                        propagate_segment, regime_quantities, sample_maxwell)
 from ramseybias.evolution import GROUND, train_excitation
 from ramseybias.units import ghz
+from closed_amplitudes import ce_double, ce_triple
 
 TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)
 

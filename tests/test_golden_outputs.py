@@ -59,9 +59,9 @@ GOLDEN = {
         "metrics.txt": "1c9bbf50806166900d37286fa4ef9104",
         "spectrum.csv": "d2b81afc7a4c58ad3a61c5f41757eb21"},
     ("validate", "validate"): {
-        "validation_report.txt": "0e1d6bde07cc688256ded5bb8b7ab45f"},
+        "validation_report.txt": "4812f95dc44706dc4ca897e0556ca29f"},
     ("validate_slices", "validate"): {
-        "validation_report.txt": "9eb8b5c3d0d12c8d75211de5d96d2ef7"},
+        "validation_report.txt": "a860f9e0d277a405a987551b919709d9"},
 }
 
 

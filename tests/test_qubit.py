@@ -50,6 +50,8 @@ def test_splitting_monotone_decreasing(transmon):
 @pytest.mark.parametrize("kwargs", [
     {"ec_ghz": -0.5}, {"ec_ghz": 0.0}, {"ej_ratio": -1.0},
     {"phi_res": 1.2}, {"phi_disp": -0.01}, {"phi_res": 0.5},
+    # the energies overflow: a gap of inf - inf = nan, and one of inf
+    {"ec_ghz": 1e300}, {"ej_ratio": 1e305},
 ])
 def test_invalid_transmon_params(kwargs):
     base = dict(ec_ghz=0.5, ej_ratio=100.0, phi_res=0.46, phi_disp=0.49)

@@ -64,6 +64,17 @@ def test_parse_scheme():
         parse_scheme("general:0")
     with pytest.raises(ValueError):
         parse_scheme("ramsey")
+    # the order's moment torus would exceed MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="1 to 25 resonant segments, got 1000"):
+        parse_scheme("general:1_000")
+
+
+def test_pe_average_refuses_an_order_past_the_torus_bound():
+    # refused before any moment table is built
+    assert (4 * 25 + 1) ** 2 * (4 * 25 - 3) <= MAX_GRID_POINTS
+    assert (4 * 26 + 1) ** 2 * (4 * 26 - 3) > MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="got 26"):
+        pe_average(26, 1e9, 1.0, 1e9, AveragingParams(1e-9, 0.01))
 
 
 # ------------------------------------------------------------- baseline

@@ -3,8 +3,11 @@ and actually catch a corrupted average."""
 
 import pytest
 
-from ramseybias import McConfig, TransmonParams, pe_average, run_validation
+from ramseybias import (McConfig, TransmonParams, compose_train,
+                        dispersive_phase, pe_average, propagate_segment,
+                        run_validation)
 from ramseybias import validation
+from ramseybias.evolution import GROUND
 from ramseybias.units import ghz
 
 TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)
@@ -25,8 +28,8 @@ def test_all_checks_pass(report):
 
 def test_expected_checks_present(report):
     assert [c.name for c in report.checks] == [
-        "closed_vs_composed_double", "closed_vs_composed_triple",
-        "train_norm_preservation", "moment_table_vs_quadrature",
+        "train_population_vs_composed", "train_norm_preservation",
+        "moment_table_vs_quadrature",
         "double_avg_vs_monte_carlo", "triple_avg_vs_monte_carlo",
         "dispersive_phase_vs_exact", "double_avg_probability_range",
         "mc_determinism"]
@@ -61,3 +64,22 @@ def test_corrupted_closed_form_is_caught(monkeypatch):
         assert by_name[clean].passed
         assert not report.all_passed
         assert "overall = FAIL" in report.render()
+
+
+def test_composer_without_the_laboratory_advance_is_caught(monkeypatch):
+    # negative control: from order 4 on, every resonant segment starts at
+    # t0 = 0, as if the advance e^{-i omega (tau + T)} were dropped. The
+    # composer stays unitary, so only the population block can see it.
+    def no_advance(q_res, q_disp, drive, train):
+        if train.n_res < 4:
+            return compose_train(q_res, q_disp, drive, train)
+        state = propagate_segment(GROUND, q_res, drive, train.tau)
+        for _ in range(train.n_res - 1):
+            state = dispersive_phase(state, q_disp.delta_d, drive.omega,
+                                     train.ratio_r * train.tau)
+            state = propagate_segment(state, q_res, drive, train.tau)
+        return state
+    monkeypatch.setattr(validation, "compose_train", no_advance)
+    report = run_validation(TRANSMON, ETA, MC, mc_draws=3)
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed == ["train_population_vs_composed"]
