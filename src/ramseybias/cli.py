@@ -179,6 +179,8 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
     print(f"best: s = {to_ns(best.s):.4f} ns, R = {best.ratio_r:g}, "
           f"fwhm {to_mhz(best.metrics.fwhm):.2f} MHz, "
           f"peak {best.metrics.peak_value:.4f}")
+    print(f"fine pass: {sum(pt.full_window for pt in result.trace)} of "
+          f"{len(result.trace)} points used the full window")
     return 0
 
 

@@ -23,7 +23,8 @@ from . import averaging
 from .averaging import AveragingParams
 from .errors import InfeasibleError, MetricsError
 from .qubit import TransmonParams
-from .spectroscopy import CW_AMPLITUDE_DEFAULT, SpectrumMetrics, metrics, sweep_refined
+from .spectroscopy import (CW_AMPLITUDE_DEFAULT, SpectrumMetrics, metrics,
+                           sweep_narrowed, sweep_refined)
 
 # time-constant seed rule: the k-th harmonic's moment argument lands where
 # the cosine-weighted moment is suppressed
@@ -57,16 +58,28 @@ class ObjectiveConfig:
 
 @dataclass
 class EvalPoint:
-    """One evaluated (s, R) grid point."""
+    """One evaluated (s, R) grid point.
+
+    ``full_window`` tells whether its fine pass went on from the narrowed
+    window to the whole fine grid (see :func:`spectroscopy.sweep_narrowed`).
+    The peak, width and shift of ``metrics`` are those of the full two-stage
+    sweep either way, but ``metrics.fringes`` lists only local maxima of the
+    samples evaluated: outside the narrowed span, those of the coarse pass.
+    """
 
     s: float
     ratio_r: float
     metrics: SpectrumMetrics | None
     feasible: bool
+    full_window: bool = False
 
 
 @dataclass
 class OptimizationResult:
+    """The best point, the Pareto front and every point in grid order; the
+    fringes of their metrics cover only the samples evaluated (see
+    :class:`EvalPoint`)."""
+
     best: EvalPoint
     pareto_front: list[EvalPoint]
     trace: list[EvalPoint]
@@ -219,13 +232,14 @@ def optimize(scheme: str, space: SearchSpace, transmon: TransmonParams,
              *, cw_amplitude: float = CW_AMPLITUDE_DEFAULT) -> OptimizationResult:
     """Exhaustively evaluate the (s, R) grid and pick the constrained best.
 
-    Every grid point runs the two-stage sweep plus metrics against a shared
-    cw reference. The points, in s-major order, are shared out over every
-    usable CPU in forked workers (see :func:`_evaluate_all`); the trace,
-    the warnings and the error raised are those of a serial run, whatever
-    the CPU count. A point whose metrics fail is recorded as infeasible;
-    any other error of a point is raised, that of the first failing point
-    in grid order. The best point minimizes the width among feasible points
+    Every grid point runs the two-stage sweep, narrowed to the fine samples
+    that its metrics read (see :func:`spectroscopy.sweep_narrowed`), plus
+    metrics against a shared cw reference. The points, in s-major order,
+    are shared out over every usable CPU in forked workers (see
+    :func:`_evaluate_all`); the trace, the warnings and the error raised
+    are those of a serial run, whatever the CPU count. A point whose
+    metrics fail is recorded as infeasible; any other error of a point is
+    raised, that of the first failing point in grid order. The best point minimizes the width among feasible points
     (peak >= p_min and, when set, |shift| <= shift_max); ties prefer larger
     peak, then smaller R, then smaller s. Raises InfeasibleError when no
     point is feasible, carrying the best-peak point for diagnosis.
@@ -237,18 +251,18 @@ def optimize(scheme: str, space: SearchSpace, transmon: TransmonParams,
 
     def evaluate(point: tuple[float, float]) -> EvalPoint:
         s, r = point
-        avg = AveragingParams(s, r)
+        full = False
         try:
-            spec = sweep_refined(scheme, transmon, eta, omega_min, omega_max,
-                                 coarse_step, refine_step, avg,
-                                 cw_amplitude=cw_amplitude)
+            spec, full = sweep_narrowed(scheme, transmon, eta, omega_min,
+                                        omega_max, coarse_step, refine_step,
+                                        AveragingParams(s, r))
             m = metrics(spec, reference=cw_ref)
         except MetricsError:
-            return EvalPoint(s, r, None, False)
+            return EvalPoint(s, r, None, False, full)
         feasible = m.peak_value >= objective.p_min
         if feasible and objective.shift_max is not None:
             feasible = abs(m.shift_vs_ref) <= objective.shift_max
-        return EvalPoint(s, r, m, feasible)
+        return EvalPoint(s, r, m, feasible, full)
 
     trace = _evaluate_all(evaluate, [(s, r) for s in space.s_grid
                                      for r in space.r_grid])

@@ -13,14 +13,15 @@ and dispersive shifts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import (AveragingParams, ArrayLike, _check_range,
+from .averaging import (RANGE_TOL, AveragingParams, ArrayLike, _check_range,
                         _pe_double_formula, _pe_grid_numeric)
 from .errors import DomainError, NoCrossingError, NoPeakError
-from .qubit import DriveParams, TransmonParams, regime_quantities
+from .qubit import DriveParams, TransmonParams, omega_eg, regime_quantities
 from .units import to_ghz
 
 CW_AMPLITUDE_DEFAULT = 0.5
@@ -30,6 +31,13 @@ MAX_GRID_POINTS = 10**6
 
 # detection threshold for fringe listing, as a fraction of the peak value
 FRINGE_THRESHOLD = 0.01
+
+# half-width, in coarse widths, of the fine window that sweep_narrowed
+# evaluates first
+NARROW_WIDTHS = 0.75
+
+# mean duration tau/s of the Maxwell density 2 x^3 exp(-x^2): Gamma(5/2)
+MEAN_DURATION = 0.75 * math.sqrt(math.pi)
 
 
 @dataclass
@@ -169,9 +177,14 @@ def sweep(scheme: str, transmon: TransmonParams, eta: float,
         return cw_baseline(transmon, eta, grid, cw_amplitude)
     if avg is None:
         raise ValueError(f"scheme {scheme!r} requires averaging parameters")
-    lam, theta, delta_d = _grid_quantities(transmon, eta, grid)
-    raw = pe_average(n_res, lam, theta, delta_d, avg)
-    p = np.clip(raw, 0.0, 1.0)
+    return _averaged(scheme, n_res, grid, _grid_quantities(transmon, eta, grid),
+                     avg)
+
+
+def _averaged(scheme: str, n_res: int, grid: np.ndarray,
+              quantities: tuple[np.ndarray, ...], avg: AveragingParams) -> Spectrum:
+    """Spectrum of a train from the (lam, theta, delta_d) of its grid."""
+    p = np.clip(pe_average(n_res, *quantities, avg), 0.0, 1.0)
     return Spectrum(grid, p, scheme)
 
 
@@ -212,10 +225,10 @@ def _parabolic_peak(x, y, i) -> tuple[float, float]:
     return float(xp), float(a * xp * xp + b * xp + c)
 
 
-def _crossing(x, y, i_peak, level, side) -> float:
-    """Nearest half-maximum crossing on one side of the peak sample: the
-    first sample outward not above ``level`` (NaN included) and its inner
-    neighbour bracket it."""
+def _bracket(y, i_peak, level, side) -> tuple[int, int]:
+    """Indices (k, j) of the nearest half-maximum bracket on one side of the
+    peak sample: k is the first sample outward not above ``level`` (NaN
+    included), j its inner neighbour."""
     step = -1 if side == "left" else 1
     outward = y[:i_peak][::-1] if step < 0 else y[i_peak + 1:]
     hits = np.flatnonzero(~(outward > level))
@@ -229,7 +242,14 @@ def _crossing(x, y, i_peak, level, side) -> float:
         raise NoCrossingError(side, f"no half-maximum crossing on the {side} "
                                     "side: the peak sample is at or below the "
                                     "refined half maximum")
-    # y[k] <= level < y[j]; interpolate between the bracketing samples
+    return k, j
+
+
+def _crossing(x, y, i_peak, level, side) -> float:
+    """Nearest half-maximum crossing on one side of the peak sample,
+    interpolated linearly between the samples of its bracket."""
+    k, j = _bracket(y, i_peak, level, side)
+    # y[k] <= level < y[j]
     t = (level - y[k]) / (y[j] - y[k])
     return float(x[k] + t * (x[j] - x[k]))
 
@@ -287,6 +307,32 @@ def metrics(spec: Spectrum, reference: Spectrum | None = None) -> SpectrumMetric
     return SpectrumMetrics(peak_w, peak_v, right - left, shift, fringes)
 
 
+def _coarse_pass(scheme: str, transmon: TransmonParams, eta: float,
+                 omega_min: float, omega_max: float, coarse_step: float,
+                 refine_step: float, avg: AveragingParams | None,
+                 cw_amplitude: float = CW_AMPLITUDE_DEFAULT
+                 ) -> tuple[Spectrum, SpectrumMetrics, np.ndarray]:
+    """The coarse pass over the window, its metrics, and the fine grid of
+    the refinement: the coarse peak plus/minus twice the coarse width at
+    ``refine_step``, clipped to the window."""
+    coarse = sweep(scheme, transmon, eta,
+                   make_grid(omega_min, omega_max, coarse_step), avg,
+                   cw_amplitude=cw_amplitude)
+    m = metrics(coarse)
+    lo = max(omega_min, m.peak_omega - 2.0 * m.fwhm)
+    hi = min(omega_max, m.peak_omega + 2.0 * m.fwhm)
+    return coarse, m, make_grid(lo, hi, refine_step)
+
+
+def _merged(coarse: Spectrum, *fine: Spectrum) -> Spectrum:
+    """One strictly increasing spectrum of the coarse and fine passes."""
+    # the first of equal frequencies, so the coarse value, is kept
+    w, first = np.unique(np.concatenate([coarse.omega, *(f.omega for f in fine)]),
+                         return_index=True)
+    p = np.concatenate([coarse.p_e, *(f.p_e for f in fine)])[first]
+    return Spectrum(w, p, coarse.scheme_tag)
+
+
 def sweep_refined(scheme: str, transmon: TransmonParams, eta: float,
                   omega_min: float, omega_max: float, coarse_step: float,
                   refine_step: float, avg: AveragingParams | None = None, *,
@@ -298,18 +344,103 @@ def sweep_refined(scheme: str, transmon: TransmonParams, eta: float,
     the window), resolving shifts far below the coarse step. The merged,
     strictly increasing spectrum is returned.
     """
-    coarse_grid = make_grid(omega_min, omega_max, coarse_step)
-    coarse = sweep(scheme, transmon, eta, coarse_grid, avg,
-                   cw_amplitude=cw_amplitude)
-    m = metrics(coarse)
-    lo = max(omega_min, m.peak_omega - 2.0 * m.fwhm)
-    hi = min(omega_max, m.peak_omega + 2.0 * m.fwhm)
-    fine_grid = make_grid(lo, hi, refine_step)
-    fine = sweep(scheme, transmon, eta, fine_grid, avg,
-                 cw_amplitude=cw_amplitude)
+    coarse, _, fine_grid = _coarse_pass(scheme, transmon, eta, omega_min,
+                                        omega_max, coarse_step, refine_step,
+                                        avg, cw_amplitude)
+    return _merged(coarse, sweep(scheme, transmon, eta, fine_grid, avg,
+                                 cw_amplitude=cw_amplitude))
 
-    # the first of equal frequencies, so the coarse value, is kept
-    w, first = np.unique(np.concatenate([coarse.omega, fine.omega]),
-                         return_index=True)
-    p = np.concatenate([coarse.p_e, fine.p_e])[first]
-    return Spectrum(w, p, coarse.scheme_tag)
+
+def _rise_rate(n_res: int, transmon: TransmonParams, eta: float,
+               avg: AveragingParams, omega_lo: float, omega_hi: float) -> float:
+    """Bound (s) on |dp/d omega| of an averaged curve over [omega_lo, omega_hi].
+
+    A train runs n resonant segments of length tau under delta sz + eta sx,
+    with d delta/d omega = -1/2, and n - 1 dispersive ones of length R tau
+    under delta_d sz, with |d delta_d/d omega| = |eta^2/d^2 - 1/2| <= D =
+    1/2 + eta^2/g^2 for d the distance to the dispersive splitting and g
+    its least value over the interval. A propagator moves by at most
+    sum_k t_k ||dH_k/d omega||, and p = |c_e|^2 by twice that, so
+    |dp/d omega| <= tau (n + 2 (n - 1) R D). Averaging over tau and clipping
+    to [0, 1] keep the bound, with tau replaced by its mean.
+    """
+    rate_d = 0.0
+    if n_res > 1 and avg.ratio_r > 0:
+        w_disp = omega_eg(transmon, transmon.phi_disp)
+        gap = max(omega_lo - w_disp, w_disp - omega_hi)
+        if not gap > 0:
+            return math.inf
+        rate_d = 0.5 + (eta / gap) * (eta / gap)
+    return MEAN_DURATION * avg.s * (n_res + 2 * (n_res - 1) * avg.ratio_r * rate_d)
+
+
+def _narrowed_holds(spec: Spectrum, span: np.ndarray, coarse: Spectrum,
+                    rest: np.ndarray, rise: float) -> bool:
+    """Whether ``metrics(spec)`` equals that of the curve which also holds
+    the fine samples at ``rest``, all of them outside ``span``.
+
+    Between the ends of ``span`` both curves hold the same samples. So
+    metrics read the same samples from both when the maximal sample and the
+    outer samples of both half-maximum brackets lie strictly between those
+    ends, and no sample at ``rest`` reaches the maximal one, p_max.
+
+    That last check is the guard. Each x at ``rest`` lies less than a coarse
+    step above the coarse sample at or below it, and over a coarse step the
+    curve rises by at most ``rise`` (see :func:`_rise_rate`). So those
+    coarse samples must stay below the fraction 1 - rise / p_max of the
+    maximal sample, less a margin of RANGE_TOL for the error of computed
+    values.
+    """
+    w, p = spec.omega, spec.p_e
+    i = int(np.argmax(p))
+    if not span[0] < w[i] < span[-1]:
+        return False
+    try:
+        half = _parabolic_peak(w, p, i)[1] / 2.0
+        left, right = (_bracket(p, i, half, side)[0] for side in ("left", "right"))
+    except NoCrossingError:
+        return False
+    if not (span[0] < w[left] and w[right] < span[-1]):
+        return False
+    a, b, c, d = np.searchsorted(coarse.omega, [rest[0], span[0], span[-1], rest[-1]],
+                                 side="right")
+    skipped = np.concatenate([coarse.p_e[a - 1:b], coarse.p_e[c - 1:d]])
+    return bool(np.all(skipped + rise + RANGE_TOL < p[i]))
+
+
+def sweep_narrowed(scheme: str, transmon: TransmonParams, eta: float,
+                   omega_min: float, omega_max: float, coarse_step: float,
+                   refine_step: float, avg: AveragingParams) -> tuple[Spectrum, bool]:
+    """The peak, peak value, width and shift of :func:`sweep_refined`, from
+    fewer fine samples; returns the spectrum and whether the whole fine
+    grid was averaged.
+
+    The detuning quantities, and so the warnings, are those of the whole
+    fine grid. The average is taken first within ``NARROW_WIDTHS`` coarse
+    widths of the coarse peak, and that curve is kept when metrics read the
+    same samples from it as from the full curve (see
+    :func:`_narrowed_holds`). Otherwise the rest of the fine grid is
+    averaged and merged in, which gives the spectrum of
+    :func:`sweep_refined` exactly, since a sweep is pointwise. A kept curve
+    has only coarse samples outside the narrowed span, and so have the
+    fringes that metrics list there. For schemes other than "cw".
+    """
+    coarse, m, fine_grid = _coarse_pass(scheme, transmon, eta, omega_min,
+                                        omega_max, coarse_step, refine_step, avg)
+    n_res = parse_scheme(scheme)
+    quantities = _grid_quantities(transmon, eta, fine_grid)
+
+    def averaged(mask):
+        return _averaged(scheme, n_res, fine_grid[mask],
+                         tuple(q[mask] for q in quantities), avg)
+
+    near = np.abs(fine_grid - m.peak_omega) <= NARROW_WIDTHS * m.fwhm
+    if not near.any():
+        return _merged(coarse, averaged(~near)), True
+    spec = _merged(coarse, averaged(near))
+    rise = coarse_step * _rise_rate(n_res, transmon, eta, avg,
+                                    fine_grid[0] - coarse_step, fine_grid[-1])
+    if near.all() or _narrowed_holds(spec, fine_grid[near], coarse,
+                                     fine_grid[~near], rise):
+        return spec, False
+    return _merged(spec, averaged(~near)), True

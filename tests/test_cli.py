@@ -163,6 +163,15 @@ def test_optimize_single_point(tmp_path):
     assert float(summary["best_r"]) == 0.001
 
 
+def test_optimize_reports_the_full_window_points(tmp_path, capsys):
+    text = (FAST_CFG + "\n[optimizer]\nk_values = 2.0, 3.0\n"
+            "r_values = 0.001, 0.0516\np_min = 0.0\n")
+    assert main(["optimize", "--config", write_cfg(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "fine pass: 1 of 4 points used the full window"
+
+
 def test_optimize_requires_grids(tmp_path):
     assert main(["optimize", "--config", write_cfg(tmp_path),
                  "--out", str(tmp_path)]) == 2

@@ -26,6 +26,12 @@ CONFIGS = {
     "general4": TRIPLE.replace("kind = triple   ", "kind = general:4   "),
     # the refine pass starts on the coarse lattice, a few ulps off it
     "narrow": TEMPLATE.replace("min_ghz = 3.5", "min_ghz = 4.0"),
+    # a 7 x 9 double grid on which some points need the whole fine window
+    "wide": (TEMPLATE
+             .replace("k_values = 2.5, 3.0, 3.5  ",
+                      "k_values = 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5  ")
+             .replace("r_values = logspace:0.0005,0.1,12",
+                      "r_values = logspace:0.0005,0.1,9")),
     "validate": TEMPLATE.replace("n_samples = 1000000", "n_samples = 20000"),
     # several Monte Carlo slices, the last one partial, at slices of 2^15
     # and of 2^13 samples
@@ -58,6 +64,9 @@ GOLDEN = {
     ("narrow", "spectrum"): {
         "metrics.txt": "1c9bbf50806166900d37286fa4ef9104",
         "spectrum.csv": "d2b81afc7a4c58ad3a61c5f41757eb21"},
+    ("wide", "optimize"): {
+        "optimize_summary.txt": "2380b4e9fe9290fb235b6b49de96338a",
+        "optimize_trace.csv": "35eb14d27ae77b833bc7a0e66c51e481"},
     ("validate", "validate"): {
         "validation_report.txt": "4812f95dc44706dc4ca897e0556ca29f"},
     ("validate_slices", "validate"): {
@@ -79,6 +88,8 @@ def test_variants_edit_the_template():
     assert "r = 0.045" in TRIPLE and "\nshift_max_mhz" not in TRIPLE
     assert "kind = general:4" in CONFIGS["general4"]
     assert "min_ghz = 4.0" in CONFIGS["narrow"]
+    assert "k_values = 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5" in CONFIGS["wide"]
+    assert "r_values = logspace:0.0005,0.1,9" in CONFIGS["wide"]
     assert "n_samples = 20000" in CONFIGS["validate"]
     assert "n_samples = 81937" in CONFIGS["validate_slices"]
 

@@ -228,6 +228,20 @@ def test_optimize_reissues_the_warnings_of_a_serial_run(monkeypatch, action):
     assert len(messages) == (12 if action == "always" else 7)
 
 
+def test_full_window_points_come_back_from_the_workers(monkeypatch):
+    # at k = 2, R = 0.0516 the double line is split: a coarse sample of a
+    # skipped region is within 1 % of the peak, so the guard takes the whole
+    # fine grid
+    space = SearchSpace(tuple(seed_points(ETA, [2.0, 3.0])), (0.001, 0.0516))
+    traces = []
+    for workers in (1, 2):
+        forking(monkeypatch, workers)
+        with deadline(120):
+            traces.append(run(space, objective=ObjectiveConfig(p_min=0.0)).trace)
+    assert traces[0] == traces[1]
+    assert [pt.full_window for pt in traces[0]] == [False, True, False, False]
+
+
 def test_optimize_leaves_no_child_process(monkeypatch):
     s3 = seed_points(ETA, [3.0])[0]
     space = SearchSpace((s3,), (0.001, 0.01))
@@ -237,7 +251,8 @@ def test_optimize_leaves_no_child_process(monkeypatch):
     assert_no_child_left()
 
     parent = os.getpid()
-    sweep = optimizer.sweep_refined
+    # every grid point, and only a grid point, runs the narrowed sweep
+    sweep = optimizer.sweep_narrowed
 
     def child_exits(scheme, *args, **kwargs):
         # the point at R = 0.01 is the forked worker's
@@ -245,7 +260,7 @@ def test_optimize_leaves_no_child_process(monkeypatch):
             os._exit(1)
         return sweep(scheme, *args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "sweep_refined", child_exits)
+    monkeypatch.setattr(optimizer, "sweep_narrowed", child_exits)
     with deadline(120), pytest.raises(RuntimeError, match="status 1 before"):
         run(space)
     assert_no_child_left()
@@ -257,7 +272,7 @@ def test_optimize_leaves_no_child_process(monkeypatch):
             raise KeyboardInterrupt
         return sweep(scheme, *args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "sweep_refined", interrupted_while_child_runs)
+    monkeypatch.setattr(optimizer, "sweep_narrowed", interrupted_while_child_runs)
     start = time.perf_counter()
     with deadline(120), pytest.raises(KeyboardInterrupt):
         run(space)

@@ -12,10 +12,12 @@ from ramseybias import (AveragingParams, DomainError, DriveParams,
                         SpectrumMetrics, TransmonParams, cw_baseline,
                         make_grid, metrics, omega_eg, pe_average,
                         regime_quantities, sweep, sweep_refined)
+from ramseybias import spectroscopy
 from ramseybias.averaging import _pe_double_formula, _pe_grid_numeric
 from ramseybias.spectroscopy import (FRINGE_THRESHOLD, MAX_GRID_POINTS,
                                      _grid_quantities, _parabolic_peak,
-                                     grid_points, parse_scheme, peak_location)
+                                     grid_points, parse_scheme, peak_location,
+                                     sweep_narrowed)
 from ramseybias.units import ghz, to_ghz, to_mhz
 
 TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)
@@ -307,6 +309,105 @@ def test_triple_sweep_equals_the_sweeps_of_its_halves():
               for part in (grid[:mid], grid[mid:])]
     assert grid.size == 601
     assert np.array_equal(whole.p_e, np.concatenate(halves))
+
+
+# the init template's window: 1 MHz coarse and 0.1 MHz fine steps
+TEMPLATE_WINDOW = (ghz(3.5), ghz(5.5), ghz(0.001), ghz(0.0001))
+
+
+def printed_metrics(m):
+    return m.peak_omega, m.peak_value, m.fwhm, m.shift_vs_ref
+
+
+@pytest.mark.parametrize("scheme", ["double", "triple", "general:4"])
+def test_narrowed_sweep_gives_the_metrics_of_the_full_sweep(scheme):
+    # k = 3, R = 0.0469 is the triple point where the half-maximum bracket
+    # leaves the narrowed window, so it needs the whole fine grid
+    cw = sweep_refined("cw", TRANSMON, ETA, *TEMPLATE_WINDOW)
+    full_window = set()
+    for k in (1.5, 2.0, 3.0, 4.5):
+        for r in (0.0005, 0.0469, 0.1):
+            avg = AveragingParams(0.68 * math.pi / (k * ETA), r)
+            spec, full = sweep_narrowed(scheme, TRANSMON, ETA, *TEMPLATE_WINDOW, avg)
+            whole = sweep_refined(scheme, TRANSMON, ETA, *TEMPLATE_WINDOW, avg)
+            assert (printed_metrics(metrics(spec, reference=cw))
+                    == printed_metrics(metrics(whole, reference=cw))), (k, r)
+            if full:
+                full_window.add((k, r))
+                assert np.array_equal(spec.omega, whole.omega)
+                assert np.array_equal(spec.p_e, whole.p_e)
+            else:
+                assert len(spec) < len(whole)
+    if scheme == "triple":
+        assert (3.0, 0.0469) in full_window
+    assert len(full_window) <= 2
+
+
+def test_fallback_averages_each_fine_point_once(monkeypatch):
+    omega_min, omega_max, coarse_step, refine_step = TEMPLATE_WINDOW
+    avg = AveragingParams(0.68 * math.pi / (3.0 * ETA), 0.0469)
+    coarse_grid = make_grid(omega_min, omega_max, coarse_step)
+    m = metrics(sweep("triple", TRANSMON, ETA, coarse_grid, avg))
+    fine_grid = make_grid(max(omega_min, m.peak_omega - 2 * m.fwhm),
+                          min(omega_max, m.peak_omega + 2 * m.fwhm), refine_step)
+
+    grids = []
+    averaged = spectroscopy._averaged
+
+    def recording(scheme, n_res, grid, *args):
+        grids.append(grid)
+        return averaged(scheme, n_res, grid, *args)
+
+    monkeypatch.setattr(spectroscopy, "_averaged", recording)
+    assert sweep_narrowed("triple", TRANSMON, ETA, *TEMPLATE_WINDOW, avg)[1]
+    # the coarse pass, the narrowed window, then the rest of the fine grid
+    assert len(grids) == 3 and np.array_equal(grids[0], coarse_grid)
+    assert fine_grid[0] < grids[1][0] and grids[1][-1] < fine_grid[-1]
+    evaluated = np.concatenate(grids[1:])
+    assert np.unique(evaluated).size == evaluated.size == fine_grid.size
+    assert np.array_equal(np.sort(evaluated), fine_grid)
+
+
+@pytest.mark.parametrize("window, full", [
+    # a refine step wider than the narrowed window leaves it no fine point
+    ((ghz(3.5), ghz(5.5), ghz(0.001), ghz(1.0)), True),
+    # a sweep window inside the narrowed window leaves nothing to skip
+    ((ghz(4.3), ghz(4.7), ghz(0.001), ghz(0.0001)), False),
+])
+def test_narrowed_window_holding_none_or_all_of_the_fine_grid(window, full):
+    spec, used_full = sweep_narrowed("double", TRANSMON, ETA, *window, default_avg())
+    whole = sweep_refined("double", TRANSMON, ETA, *window, default_avg())
+    assert used_full == full
+    assert np.array_equal(spec.omega, whole.omega)
+    assert np.array_equal(spec.p_e, whole.p_e)
+
+
+def test_guard_falls_back_for_a_rise_between_coarse_samples(monkeypatch):
+    # a tent between two coarse samples of a skipped region: they sit at 99 %
+    # of the line's maximum, above the guard, and its tip at 102 % is the
+    # maximum of the full fine pass, which the narrowed window never sees
+    omega_min, omega_max, coarse_step, refine_step = TEMPLATE_WINDOW
+    avg = default_avg()
+    line = sweep_refined("double", TRANSMON, ETA, *TEMPLATE_WINDOW, avg)
+    m = metrics(line)
+    top = line.p_e.max()
+    coarse_grid = make_grid(omega_min, omega_max, coarse_step)
+    tip = coarse_grid[coarse_grid > m.peak_omega + 1.3 * m.fwhm][0] + coarse_step / 2
+    averaged = spectroscopy._averaged
+
+    def tented(scheme, n_res, grid, *args):
+        p = averaged(scheme, n_res, grid, *args).p_e
+        tent = top * (1.02 - 0.06 * np.abs(grid - tip) / coarse_step)
+        return Spectrum(grid, np.maximum(p, tent), scheme)
+
+    assert not sweep_narrowed("double", TRANSMON, ETA, *TEMPLATE_WINDOW, avg)[1]
+    monkeypatch.setattr(spectroscopy, "_averaged", tented)
+    spec, full = sweep_narrowed("double", TRANSMON, ETA, *TEMPLATE_WINDOW, avg)
+    whole = sweep_refined("double", TRANSMON, ETA, *TEMPLATE_WINDOW, avg)
+    assert full
+    assert np.array_equal(spec.omega, whole.omega)
+    assert np.array_equal(spec.p_e, whole.p_e)
+    assert abs(metrics(whole).peak_omega - tip) < refine_step
 
 
 # ------------------------------------------------------ fringe behavior
