@@ -56,6 +56,9 @@ FOLD_TOL = 1e-12
 RANGE_TOL = 1e-8
 # Monte Carlo samples composed per slice; bounds the oracle's temporaries
 MC_CHUNK = 2**13
+# most Monte Carlo samples: the oracle's population array holds 8 bytes per
+# sample, 800 MB here, 100 times the init template's count
+MAX_MC_SAMPLES = 10**8
 
 # cells per unit of b of the moment table, and the end of the table; the
 # asymptotic series sum_{j>=2} a_j b^(-2j) takes over for |b| >= MOMENT_B
@@ -117,8 +120,9 @@ class McConfig:
     rng_seed: int
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError(f"need at least one sample, got {self.n_samples}")
+        if not 1 <= self.n_samples <= MAX_MC_SAMPLES:
+            raise ValueError(f"need 1 to {MAX_MC_SAMPLES:,} samples, "
+                             f"got {self.n_samples}")
         if self.rng_seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.rng_seed}")
 

@@ -177,15 +177,8 @@ def sweep(scheme: str, transmon: TransmonParams, eta: float,
         return cw_baseline(transmon, eta, grid, cw_amplitude)
     if avg is None:
         raise ValueError(f"scheme {scheme!r} requires averaging parameters")
-    return _averaged(scheme, n_res, grid, _grid_quantities(transmon, eta, grid),
-                     avg)
-
-
-def _averaged(scheme: str, n_res: int, grid: np.ndarray,
-              quantities: tuple[np.ndarray, ...], avg: AveragingParams) -> Spectrum:
-    """Spectrum of a train from the (lam, theta, delta_d) of its grid."""
-    p = np.clip(pe_average(n_res, *quantities, avg), 0.0, 1.0)
-    return Spectrum(grid, p, scheme)
+    p = pe_average(n_res, *_grid_quantities(transmon, eta, grid), avg)
+    return Spectrum(grid, np.clip(p, 0.0, 1.0), scheme)
 
 
 def grid_points(omega_min: float, omega_max: float, step: float) -> int:
@@ -415,32 +408,26 @@ def sweep_narrowed(scheme: str, transmon: TransmonParams, eta: float,
     fewer fine samples; returns the spectrum and whether the whole fine
     grid was averaged.
 
-    The detuning quantities, and so the warnings, are those of the whole
-    fine grid. The average is taken first within ``NARROW_WIDTHS`` coarse
-    widths of the coarse peak, and that curve is kept when metrics read the
-    same samples from it as from the full curve (see
-    :func:`_narrowed_holds`). Otherwise the rest of the fine grid is
-    averaged and merged in, which gives the spectrum of
-    :func:`sweep_refined` exactly, since a sweep is pointwise. A kept curve
-    has only coarse samples outside the narrowed span, and so have the
-    fringes that metrics list there. For schemes other than "cw".
+    The fine grid is averaged first by a :func:`sweep` of its points within
+    ``NARROW_WIDTHS`` coarse widths of the coarse peak, and that curve is
+    kept when metrics read the same samples from it as from the full curve
+    (see :func:`_narrowed_holds`). Otherwise a second sweep averages the
+    rest of the fine grid, which is merged in; that gives the spectrum of
+    :func:`sweep_refined` exactly, since a sweep is pointwise. Each pass
+    warns about, and raises for, only the frequencies it averages, so a
+    fallback warns once per fine pass. A kept curve has only coarse samples
+    outside the narrowed span, and so have the fringes that metrics list
+    there. For schemes other than "cw".
     """
     coarse, m, fine_grid = _coarse_pass(scheme, transmon, eta, omega_min,
                                         omega_max, coarse_step, refine_step, avg)
-    n_res = parse_scheme(scheme)
-    quantities = _grid_quantities(transmon, eta, fine_grid)
-
-    def averaged(mask):
-        return _averaged(scheme, n_res, fine_grid[mask],
-                         tuple(q[mask] for q in quantities), avg)
-
     near = np.abs(fine_grid - m.peak_omega) <= NARROW_WIDTHS * m.fwhm
-    if not near.any():
-        return _merged(coarse, averaged(~near)), True
-    spec = _merged(coarse, averaged(near))
-    rise = coarse_step * _rise_rate(n_res, transmon, eta, avg,
+    span, rest = fine_grid[near], fine_grid[~near]
+    if not span.size:
+        return _merged(coarse, sweep(scheme, transmon, eta, rest, avg)), True
+    spec = _merged(coarse, sweep(scheme, transmon, eta, span, avg))
+    rise = coarse_step * _rise_rate(parse_scheme(scheme), transmon, eta, avg,
                                     fine_grid[0] - coarse_step, fine_grid[-1])
-    if near.all() or _narrowed_holds(spec, fine_grid[near], coarse,
-                                     fine_grid[~near], rise):
+    if not rest.size or _narrowed_holds(spec, span, coarse, rest, rise):
         return spec, False
-    return _merged(spec, averaged(~near)), True
+    return _merged(spec, sweep(scheme, transmon, eta, rest, avg)), True

@@ -286,6 +286,9 @@ def test_averaging_params_validation():
         AveragingParams(1e-9, math.nan)
     with pytest.raises(ValueError):
         McConfig(0, 1)
+    assert McConfig(averaging.MAX_MC_SAMPLES, 1).n_samples == 10**8
+    with pytest.raises(ValueError, match="100,000,000 samples"):
+        McConfig(averaging.MAX_MC_SAMPLES + 1, 1)
     with pytest.raises(ValueError, match="seed"):
         McConfig(10, -1)
 

@@ -265,6 +265,9 @@ GRIDS = "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\n"
      "no valid two-level gap"),
     ("validate", "phi_res = 0.46", "ej_ratio = 1e305\nphi_res = 0.46", 3,
      "no valid two-level gap"),
+    # 8 TB of Monte Carlo populations, past MAX_MC_SAMPLES
+    ("validate", "n_samples = 20000", "n_samples = 1000000000000", 2,
+     "[mc] n_samples:"),
     # its moment torus would hold 1.1e6 points, past MAX_GRID_POINTS
     ("spectrum", "kind = double", "kind = general:26", 2, "[scheme] kind:"),
     # the line peaks above a 100 MHz window

@@ -32,6 +32,9 @@ CONFIGS = {
                       "k_values = 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5  ")
              .replace("r_values = logspace:0.0005,0.1,12",
                       "r_values = logspace:0.0005,0.1,9")),
+    # the dispersive splitting at 3.84 GHz, inside the sweep window: some
+    # fine passes come within 10 eta of it and some points fall back
+    "close_splitting": TEMPLATE.replace("phi_disp = 0.49 ", "phi_disp = 0.47 "),
     "validate": TEMPLATE.replace("n_samples = 1000000", "n_samples = 20000"),
     # several Monte Carlo slices, the last one partial, at slices of 2^15
     # and of 2^13 samples
@@ -67,6 +70,9 @@ GOLDEN = {
     ("wide", "optimize"): {
         "optimize_summary.txt": "2380b4e9fe9290fb235b6b49de96338a",
         "optimize_trace.csv": "35eb14d27ae77b833bc7a0e66c51e481"},
+    ("close_splitting", "optimize"): {
+        "optimize_summary.txt": "5ef7f5712a2d924a9fec2d9ea1246eb2",
+        "optimize_trace.csv": "27a7d65ac60d0d0f3ddfede82088ea44"},
     ("validate", "validate"): {
         "validation_report.txt": "4812f95dc44706dc4ca897e0556ca29f"},
     ("validate_slices", "validate"): {
@@ -90,6 +96,7 @@ def test_variants_edit_the_template():
     assert "min_ghz = 4.0" in CONFIGS["narrow"]
     assert "k_values = 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5" in CONFIGS["wide"]
     assert "r_values = logspace:0.0005,0.1,9" in CONFIGS["wide"]
+    assert "phi_disp = 0.47 " in CONFIGS["close_splitting"]
     assert "n_samples = 20000" in CONFIGS["validate"]
     assert "n_samples = 81937" in CONFIGS["validate_slices"]
 

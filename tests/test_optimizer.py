@@ -210,9 +210,11 @@ def test_optimize_raises_the_first_failing_point_in_grid_order(
 
 @pytest.mark.parametrize("action", ["always", "default"])
 def test_optimize_reissues_the_warnings_of_a_serial_run(monkeypatch, action):
-    # the dispersive splitting at 3.04 GHz lies within 10 eta of the sweep;
-    # every coarse pass warns alike, so the "default" action shows it once
-    transmon = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.48)
+    # the dispersive splitting at 3.84 GHz lies inside the sweep window:
+    # every coarse pass warns alike, so the "default" action shows it once,
+    # and each fine pass warns with its own count. Two points fall back, so
+    # both of their fine passes warn
+    transmon = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.47)
     space = SearchSpace(tuple(seed_points(ETA, [2.5, 3.0, 3.5])), (0.001, 0.01))
     runs = []
     for workers in (1, 2):
@@ -225,7 +227,8 @@ def test_optimize_reissues_the_warnings_of_a_serial_run(monkeypatch, action):
     assert runs[0] == runs[1]
     messages = [text for _, text, _, _ in runs[0][0]]
     assert all("of the dispersive-bias splitting" in text for text in messages)
-    assert len(messages) == (12 if action == "always" else 7)
+    assert [pt.full_window for pt in runs[0][1]].count(True) == 2
+    assert len(messages) == (14 if action == "always" else 9)
 
 
 def test_full_window_points_come_back_from_the_workers(monkeypatch):

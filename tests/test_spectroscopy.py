@@ -343,29 +343,65 @@ def test_narrowed_sweep_gives_the_metrics_of_the_full_sweep(scheme):
     assert len(full_window) <= 2
 
 
-def test_fallback_averages_each_fine_point_once(monkeypatch):
+def passes(scheme, avg):
+    """The coarse grid of a template-window sweep, its fine grid, and the
+    narrowed span of that fine grid."""
     omega_min, omega_max, coarse_step, refine_step = TEMPLATE_WINDOW
-    avg = AveragingParams(0.68 * math.pi / (3.0 * ETA), 0.0469)
     coarse_grid = make_grid(omega_min, omega_max, coarse_step)
-    m = metrics(sweep("triple", TRANSMON, ETA, coarse_grid, avg))
+    m = metrics(sweep(scheme, TRANSMON, ETA, coarse_grid, avg))
     fine_grid = make_grid(max(omega_min, m.peak_omega - 2 * m.fwhm),
                           min(omega_max, m.peak_omega + 2 * m.fwhm), refine_step)
+    span = fine_grid[np.abs(fine_grid - m.peak_omega)
+                     <= spectroscopy.NARROW_WIDTHS * m.fwhm]
+    return coarse_grid, fine_grid, span
 
+
+# k = 3, R = 0.0469 is the triple point that needs the whole fine grid
+FALLBACK = ("triple", AveragingParams(0.68 * math.pi / (3.0 * ETA), 0.0469))
+
+
+def test_fallback_averages_each_fine_point_once(monkeypatch):
+    coarse_grid, fine_grid, _ = passes(*FALLBACK)
     grids = []
-    averaged = spectroscopy._averaged
+    plain = spectroscopy.sweep
 
-    def recording(scheme, n_res, grid, *args):
+    def recording(scheme, transmon, eta, grid, *args, **kwargs):
         grids.append(grid)
-        return averaged(scheme, n_res, grid, *args)
+        return plain(scheme, transmon, eta, grid, *args, **kwargs)
 
-    monkeypatch.setattr(spectroscopy, "_averaged", recording)
-    assert sweep_narrowed("triple", TRANSMON, ETA, *TEMPLATE_WINDOW, avg)[1]
+    monkeypatch.setattr(spectroscopy, "sweep", recording)
+    assert sweep_narrowed(FALLBACK[0], TRANSMON, ETA, *TEMPLATE_WINDOW,
+                          FALLBACK[1])[1]
     # the coarse pass, the narrowed window, then the rest of the fine grid
     assert len(grids) == 3 and np.array_equal(grids[0], coarse_grid)
     assert fine_grid[0] < grids[1][0] and grids[1][-1] < fine_grid[-1]
     evaluated = np.concatenate(grids[1:])
     assert np.unique(evaluated).size == evaluated.size == fine_grid.size
     assert np.array_equal(np.sort(evaluated), fine_grid)
+
+
+@pytest.mark.parametrize("scheme, avg, full", [
+    ("double", default_avg(), False), (*FALLBACK, True)], ids=["kept", "fallback"])
+def test_quantities_cover_only_the_averaged_frequencies(monkeypatch, scheme,
+                                                        avg, full):
+    # so the 10 eta warning and the dispersive DomainError name only them
+    coarse_grid, fine_grid, span = passes(scheme, avg)
+    grids = []
+    plain = spectroscopy._grid_quantities
+
+    def recording(transmon, eta, grid):
+        grids.append(grid)
+        return plain(transmon, eta, grid)
+
+    monkeypatch.setattr(spectroscopy, "_grid_quantities", recording)
+    assert sweep_narrowed(scheme, TRANSMON, ETA, *TEMPLATE_WINDOW, avg)[1] == full
+    # the coarse pass, the narrowed span, then on fallback the rest
+    assert len(grids) == (3 if full else 2)
+    assert np.array_equal(grids[0], coarse_grid)
+    assert np.array_equal(grids[1], span) and span.size < fine_grid.size
+    fine = np.concatenate(grids[1:])
+    assert np.unique(fine).size == fine.size
+    assert np.array_equal(np.sort(fine), fine_grid if full else span)
 
 
 @pytest.mark.parametrize("window, full", [
@@ -393,15 +429,15 @@ def test_guard_falls_back_for_a_rise_between_coarse_samples(monkeypatch):
     top = line.p_e.max()
     coarse_grid = make_grid(omega_min, omega_max, coarse_step)
     tip = coarse_grid[coarse_grid > m.peak_omega + 1.3 * m.fwhm][0] + coarse_step / 2
-    averaged = spectroscopy._averaged
+    plain = spectroscopy.sweep
 
-    def tented(scheme, n_res, grid, *args):
-        p = averaged(scheme, n_res, grid, *args).p_e
+    def tented(scheme, transmon, eta, grid, *args, **kwargs):
+        p = plain(scheme, transmon, eta, grid, *args, **kwargs).p_e
         tent = top * (1.02 - 0.06 * np.abs(grid - tip) / coarse_step)
         return Spectrum(grid, np.maximum(p, tent), scheme)
 
     assert not sweep_narrowed("double", TRANSMON, ETA, *TEMPLATE_WINDOW, avg)[1]
-    monkeypatch.setattr(spectroscopy, "_averaged", tented)
+    monkeypatch.setattr(spectroscopy, "sweep", tented)
     spec, full = sweep_narrowed("double", TRANSMON, ETA, *TEMPLATE_WINDOW, avg)
     whole = sweep_refined("double", TRANSMON, ETA, *TEMPLATE_WINDOW, avg)
     assert full
