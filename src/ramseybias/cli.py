@@ -9,10 +9,11 @@ the cross-check suite).
 Exit codes: 0 success, 2 configuration error or unusable output path,
 3 domain error, 4 infeasible optimization, 5 validation failure. Output
 files are written atomically (temporary file plus rename) and are
-byte-identical for identical configuration and seed. Reported metrics are
-computed on the values as printed, so re-reading a CSV reproduces them
-exactly. Where two points of a swept grid print the same frequency, the
-CSV keeps the first of them.
+byte-identical for identical configuration and seed. Curves are rounded in
+numpy to what printing at 9 significant digits and re-reading gives, and
+reported metrics are computed on those values, so re-reading a CSV
+reproduces them exactly. Where two points of a swept grid print the same
+frequency, the CSV keeps the first of them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from itertools import compress
 
 import numpy as np
 
@@ -50,26 +50,44 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _quantize(rows: list[str]) -> np.ndarray:
-    """Printed CSV rows read back: the (omega_ghz, p_e) pairs that
-    re-reading the file gives."""
-    return np.fromiter((float(text) for row in rows for text in row.split(",")),
-                       dtype=float, count=2 * len(rows)).reshape(-1, 2)
+def _quantize(x: np.ndarray) -> np.ndarray:
+    """``float(f"{v:.9g}")`` of every value: what printing and re-reading gives.
 
-
-def _quantized_spectrum(spec: Spectrum) -> tuple[Spectrum, list[str]]:
-    """Spectrum rounded to printed precision, plus its printed CSV rows.
-
-    Each value is formatted once, and the rounded curve is what re-reading
-    the rows gives. Of grid points whose frequencies print alike, only the
-    first is kept: rounding is monotone, so they are neighbours.
+    A value in [1e-4, 1e9) is scaled by 10^k to y in [1e8, 1e9) and its
+    rounded nine-digit mantissa m divided back: m and 10^k are exact, so
+    the quotient is rounded once, as the parse of the printed digits is
+    (Clinger's fast path). y is off by less than 1e-7, so m is the printed
+    mantissa unless y lies within 1e-6 of a half; those values, m outside
+    [1e8, 1e9) and every other value go through the printer.
     """
-    rows = [f"{_fmt(g)},{_fmt(p)}" for g, p in zip(to_ghz(spec.omega), spec.p_e)]
-    values = _quantize(rows)
-    keep = np.diff(values[:, 0], prepend=-np.inf) > 0
-    ghz_vals, p_vals = values[keep].T
-    return (Spectrum(ghz_vals * RAD_PER_GHZ, p_vals.copy(), spec.scheme_tag),
-            list(compress(rows, keep)))
+    v = np.asarray(x, dtype=float)
+    inside = (v >= 1e-4) & (v < 1e9)
+    w = np.where(inside, v, 1.0)
+    scale = 10 ** np.clip(8 - np.floor(np.log10(w)).astype(int), 0, 12)
+    y = w * scale
+    m = np.rint(y)
+    out = m / scale
+    fast = inside & (m >= 1e8) & (m < 1e9) & (abs(abs(y - m) - 0.5) > 1e-6)
+    out[~fast] = [float(_fmt(u)) for u in v[~fast]]
+    return out
+
+
+def _quantized_spectrum(spec: Spectrum) -> tuple[Spectrum, np.ndarray]:
+    """Spectrum rounded to printed precision, and its printed GHz column.
+
+    Of grid points whose frequencies print alike, only the first is kept:
+    rounding is monotone, so they are neighbours.
+    """
+    ghz = _quantize(to_ghz(spec.omega))
+    keep = np.diff(ghz, prepend=-np.inf) > 0
+    ghz = ghz[keep]
+    return (Spectrum(ghz * RAD_PER_GHZ, _quantize(spec.p_e)[keep],
+                     spec.scheme_tag), ghz)
+
+
+def _curve_csv(ghz: np.ndarray, p_e: np.ndarray) -> str:
+    return "omega_ghz,p_e\n" + "".join(
+        "%.9g,%.9g\n" % pair for pair in zip(ghz, p_e))
 
 
 def _metrics_report(tag: str, cfg: RunConfig, m: SpectrumMetrics) -> str:
@@ -103,16 +121,15 @@ def _sweep_command(cfg: RunConfig, scheme: str, out_dir: str, csv_name: str,
                          cw_amplitude=cfg.cw_amplitude)
     reference = None
     if cfg.baseline_shift and scheme != "cw":
-        # rounded before the curve, so that their printed rows never coexist
         reference = _quantized_spectrum(sweep_refined(
             "cw", cfg.transmon, cfg.eta, cfg.omega_min, cfg.omega_max,
             cfg.coarse_step, cfg.refine_step, cw_amplitude=cfg.cw_amplitude))[0]
-    spec, rows = _quantized_spectrum(spec)
+    spec, ghz = _quantized_spectrum(spec)
     m = metrics(spec, reference=reference)
 
     csv_path = os.path.join(out_dir, csv_name)
     report_path = os.path.join(out_dir, report_name)
-    _atomic_write(csv_path, "\n".join(["omega_ghz,p_e", *rows, ""]))
+    _atomic_write(csv_path, _curve_csv(ghz, spec.p_e))
     _atomic_write(report_path, _metrics_report(scheme, cfg, m))
     print(f"wrote {csv_path} ({len(spec)} points) and {report_path}")
     print(f"peak {to_ghz(m.peak_omega):.6f} GHz  value {m.peak_value:.4f}  "

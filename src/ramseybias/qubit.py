@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,16 +95,24 @@ class DriveParams:
 class RegimeQuantities:
     """Derived quantities of one bias regime, shaped like the probe frequency.
 
-    ``delta`` is half the qubit-probe frequency difference, ``lam`` the
-    dressed precession rate sqrt(delta^2 + eta^2) and ``theta`` the mixing
-    angle atan2(eta, delta) in (0, pi). ``delta_d`` is the dispersive
+    ``delta`` is half the qubit-probe frequency difference and ``eta`` the
+    probe coupling. The dressed precession rate ``lam`` = sqrt(delta^2 +
+    eta^2) and the mixing angle ``theta`` = atan2(eta, delta) in (0, pi)
+    are computed on first read. ``delta_d`` is the dispersive
     phase-accumulation rate and is only set for the dispersive regime.
     """
 
     delta: float | np.ndarray
-    lam: float | np.ndarray
-    theta: float | np.ndarray
+    eta: float
     delta_d: float | np.ndarray | None = None
+
+    @cached_property
+    def lam(self) -> float | np.ndarray:
+        return np.hypot(self.delta, self.eta)
+
+    @cached_property
+    def theta(self) -> float | np.ndarray:
+        return np.arctan2(self.eta, self.delta)
 
 
 def omega_eg(params: TransmonParams, phi: float) -> float:
@@ -158,10 +167,8 @@ def regime_quantities(params: TransmonParams, drive: DriveParams,
                     else params.phi_disp)
     eta = drive.eta
     delta = (w_eg - drive.omega) / 2.0
-    lam = np.hypot(delta, eta)
-    theta = np.arctan2(eta, delta)
     if regime == "resonant":
-        return RegimeQuantities(delta, lam, theta)
+        return RegimeQuantities(delta, eta)
 
     detune = w_eg - drive.omega
     hit = np.flatnonzero(detune == 0.0)
@@ -180,4 +187,4 @@ def regime_quantities(params: TransmonParams, drive: DriveParams,
             stacklevel=2,
         )
     delta_d = detune / 2.0 + eta**2 / detune
-    return RegimeQuantities(delta, lam, theta, delta_d)
+    return RegimeQuantities(delta, eta, delta_d)

@@ -7,10 +7,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ramseybias
-from ramseybias import AveragingParams, McConfig, Spectrum, metrics
-from ramseybias.cli import _metrics_report, _quantized_spectrum, main
+from ramseybias import AveragingParams, McConfig, Spectrum, cli, metrics
+from ramseybias.cli import (_curve_csv, _metrics_report, _quantize,
+                            _quantized_spectrum, main)
 from ramseybias.config import TEMPLATE, load_config
 from ramseybias.spectroscopy import sweep_refined
 from ramseybias.units import RAD_PER_GHZ, ghz, to_ghz
@@ -377,8 +379,9 @@ def test_quantized_spectrum_keeps_the_first_of_rows_that_print_alike():
     omega = ghz(4.0)
     spec = Spectrum([omega, np.nextafter(omega, np.inf), ghz(4.1)],
                     [0.25, 0.5, 0.75], "cw")
-    rounded, rows = _quantized_spectrum(spec)
-    assert rows == ["4,0.25", "4.1,0.75"]
+    rounded, printed_ghz = _quantized_spectrum(spec)
+    assert _curve_csv(printed_ghz, rounded.p_e).splitlines() == [
+        "omega_ghz,p_e", "4,0.25", "4.1,0.75"]
     assert rounded.omega.tolist() == [4.0 * RAD_PER_GHZ, 4.1 * RAD_PER_GHZ]
     assert rounded.p_e.tolist() == [0.25, 0.75]
 
@@ -501,22 +504,76 @@ def _two_pass_csv(spec):
         f"{fmt(g)},{fmt(p)}\n" for g, p in zip(ghz_vals, p_vals))
 
 
-@pytest.mark.parametrize("kind", ["double", "triple", "general:4", "cw"])
-def test_csv_equals_the_two_pass_formatting(tmp_path, kind):
+def _template_curve(tmp_path, kind):
+    """The template's config file at scheme ``kind`` and its swept curve."""
     text = TEMPLATE.replace("kind = double   ", f"kind = {kind}   ")
     if kind != "double":
         text = text.replace("s = 0.68pi/3eta ", "s = 0.68pi/2eta ").replace(
             "r = 0.001  ", "r = 0.045  ")
     cfg = write_cfg(tmp_path, text)
     run = load_config(cfg)
+    avg = None if kind == "cw" else AveragingParams(run.s, run.ratio_r)
+    return cfg, sweep_refined(kind, run.transmon, run.eta, run.omega_min,
+                              run.omega_max, run.coarse_step, run.refine_step,
+                              avg, cw_amplitude=run.cw_amplitude)
+
+
+@pytest.mark.parametrize("kind", ["double", "triple", "general:4", "cw"])
+def test_csv_equals_the_two_pass_formatting(tmp_path, kind):
+    cfg, spec = _template_curve(tmp_path, kind)
     command, name = ("baseline", "baseline.csv") if kind == "cw" else (
         "spectrum", "spectrum.csv")
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
-    avg = None if kind == "cw" else AveragingParams(run.s, run.ratio_r)
-    spec = sweep_refined(kind, run.transmon, run.eta, run.omega_min,
-                         run.omega_max, run.coarse_step, run.refine_step, avg,
-                         cw_amplitude=run.cw_amplitude)
     assert (tmp_path / name).read_text() == _two_pass_csv(spec)
+
+
+@pytest.mark.parametrize("kind", ["double", "triple", "general:4", "cw"])
+def test_template_curves_round_without_the_printer(tmp_path, monkeypatch, kind):
+    # the printer is _quantize's fallback for values numpy cannot round
+    # safely; the template's spectra and its cw curve (the baseline and
+    # the spectrum's reference) have none
+    printed = []
+    fmt = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda v: printed.append(v) or fmt(v))
+    _quantize(np.array([0.0]))
+    assert printed == [0.0]
+    printed.clear()
+    _quantized_spectrum(_template_curve(tmp_path, kind)[1])
+    assert printed == []
+
+
+def _reread(v: float) -> float:
+    return float(f"{v:.9g}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(v=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(1e-4, 1e9)))
+def test_quantize_equals_printing_and_rereading(v):
+    q = float(_quantize(np.array([v]))[0])
+    assert q.hex() == _reread(v).hex()
+    assert "%.9g" % q == "%.9g" % v
+
+
+def test_quantize_at_ties_powers_of_ten_and_range_edges():
+    powers = np.array([float(f"1e{e}") for e in range(-12, 13)])
+    values = np.concatenate([
+        4.0 + np.arange(2**13) / 2**13,  # exact ties such as 4.001953125
+        # the doubles nearest to decimal ties, a rounding error off them
+        [float(f"{lead}.{d:08d}5") for lead in (1, 4, 9)
+         for d in range(0, 10**8, 99991)],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        [9.999999995, 0.9999999995, 0.0, -0.0, 1e-4, np.nextafter(1e-4, 0.0),
+         np.nextafter(1e-4, 1.0), 1e9, np.nextafter(1e9, 0.0), 5e-324,
+         2.2250738585072009e-308, 1.5e-310, np.inf, -np.inf, np.nan],
+        np.random.default_rng(7).uniform(0.0, 10.0, 10**5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rounded = _quantize(values)
+    assert rounded.shape == values.shape
+    for q, v in zip(rounded.tolist(), values.tolist()):
+        assert q.hex() == _reread(v).hex(), v
+        assert "%.9g" % q == "%.9g" % v
 
 
 def test_validate_on_one_cpu_matches_every_cpu(tmp_path):

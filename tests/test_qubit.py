@@ -118,6 +118,17 @@ def test_dispersive_rate_fixture(transmon):
     assert q.lam > 0 and 0.0 < q.theta < math.pi
 
 
+def test_lam_and_theta_are_computed_on_first_read(transmon):
+    # grid callers read only delta or delta_d, so the record leaves the
+    # hypot and arctan2 of a sweep grid to whoever asks for them
+    grid = ghz(np.linspace(4.0, 5.0, 11))
+    q = regime_quantities(transmon, DriveParams(ghz(0.1), grid), "resonant")
+    assert "lam" not in vars(q) and "theta" not in vars(q)
+    np.testing.assert_array_equal(q.lam, np.hypot(q.delta, ghz(0.1)))
+    np.testing.assert_array_equal(q.theta, np.arctan2(ghz(0.1), q.delta))
+    assert q.lam is q.lam and q.theta is q.theta
+
+
 def test_dispersive_exact_resonance_raises(transmon):
     w_d = omega_eg(transmon, transmon.phi_disp)
     drive = DriveParams(ghz(0.1), w_d)
