@@ -25,7 +25,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .averaging import AveragingParams
 from .config import RunConfig, TEMPLATE, checked, load_config
 from .errors import ConfigError, DomainError, InfeasibleError, MetricsError
 from .optimizer import optimize
@@ -93,8 +92,8 @@ def _curve_csv(ghz: np.ndarray, p_e: np.ndarray) -> str:
 def _metrics_report(tag: str, cfg: RunConfig, m: SpectrumMetrics) -> str:
     lines = [f"scheme = {tag}"]
     if tag != "cw":
-        lines.append(f"s_ns = {_fmt(to_ns(cfg.s))}")
-        lines.append(f"r = {_fmt(cfg.ratio_r)}")
+        lines.append(f"s_ns = {_fmt(to_ns(cfg.avg.s))}")
+        lines.append(f"r = {_fmt(cfg.avg.ratio_r)}")
     lines.append(f"peak_ghz = {_fmt(to_ghz(m.peak_omega))}")
     lines.append(f"peak_value = {_fmt(m.peak_value)}")
     lines.append(f"fwhm_mhz = {_fmt(to_mhz(m.fwhm))}")
@@ -111,14 +110,11 @@ def _metrics_report(tag: str, cfg: RunConfig, m: SpectrumMetrics) -> str:
 
 def _sweep_command(cfg: RunConfig, scheme: str, out_dir: str, csv_name: str,
                    report_name: str) -> int:
-    avg = None
-    if scheme != "cw":
-        if cfg.s is None or cfg.ratio_r is None:
-            raise ConfigError("[averaging] s, r: required for schemes other than cw")
-        avg = AveragingParams(cfg.s, cfg.ratio_r)
+    if scheme != "cw" and cfg.avg is None:
+        raise ConfigError("[averaging] s, r: required for schemes other than cw")
     spec = sweep_refined(scheme, cfg.transmon, cfg.eta, cfg.omega_min,
-                         cfg.omega_max, cfg.coarse_step, cfg.refine_step, avg,
-                         cw_amplitude=cfg.cw_amplitude)
+                         cfg.omega_max, cfg.coarse_step, cfg.refine_step,
+                         cfg.avg, cw_amplitude=cfg.cw_amplitude)
     reference = None
     if cfg.baseline_shift and scheme != "cw":
         reference = _quantized_spectrum(sweep_refined(
@@ -202,8 +198,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_validate(cfg: RunConfig, out_dir: str) -> int:
-    report = run_validation(cfg.transmon, cfg.eta, cfg.mc, s=cfg.s,
-                            ratio_r=cfg.ratio_r)
+    report = run_validation(cfg.transmon, cfg.eta, cfg.mc, cfg.avg)
     path = os.path.join(out_dir, "validation_report.txt")
     _atomic_write(path, report.render())
     print(f"wrote {path}")

@@ -5,9 +5,9 @@ times are nanoseconds; parsing converts to the angular/seconds units used
 internally. The template emitted by ``ramseybias init`` reproduces the
 headline double-resonance operating point.
 
-``load_config`` builds the records the commands run on (``SearchSpace``,
-``ObjectiveConfig``, ``McConfig``); each value is checked once, by its
-record where it has one, and a refusal names its ``[section] key``.
+``load_config`` builds the records the commands run on (``AveragingParams``,
+``SearchSpace``, ``ObjectiveConfig``, ``McConfig``); each value is checked
+once, by its record where it has one; a refusal names its ``[section] key``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .averaging import McConfig
+from .averaging import AveragingParams, McConfig
 from .errors import ConfigError
 from .optimizer import ObjectiveConfig, SearchSpace, seed_points
 from .qubit import TransmonParams
@@ -75,8 +75,9 @@ _S_RULE = re.compile(r"^\s*0\.68\s*pi\s*/\s*([0-9]*\.?[0-9]+)\s*eta\s*$")
 
 @dataclass
 class RunConfig:
-    """Parsed configuration with all values in internal units; ``search``
-    is None when ``[optimizer]`` gives no grids."""
+    """Parsed configuration with all values in internal units; ``avg`` is
+    None when ``[averaging]`` gives neither s nor r, and ``search`` when
+    ``[optimizer]`` gives no grids."""
 
     transmon: TransmonParams
     eta: float
@@ -87,8 +88,7 @@ class RunConfig:
     refine_step: float
     baseline_shift: bool
     cw_amplitude: float
-    s: float | None
-    ratio_r: float | None
+    avg: AveragingParams | None
     search: SearchSpace | None
     objective: ObjectiveConfig
     mc: McConfig
@@ -242,17 +242,13 @@ def load_config(path: str) -> RunConfig:
 
     # a missing optional section has no keys, so each key's default applies
     avg_sec = _Section(parser, "averaging")
-    s_value = None
-    if avg_sec.has("s"):
+    avg = None
+    if avg_sec.has("s") or avg_sec.has("r"):
+        # R = 0 stands in until s has passed, so that a refusal names its key
         s_value = checked("[averaging] s", parse_time_constant,
                           avg_sec.text("s"), eta)
-        if s_value <= 0:
-            _fail("averaging", "s", "time constant must be positive")
-    ratio_r = None
-    if avg_sec.has("r"):
-        ratio_r = avg_sec.number("r")
-        if ratio_r < 0:
-            _fail("averaging", "r", "must be non-negative")
+        avg = checked("[averaging] s", AveragingParams, s_value, 0.0)
+        avg = checked("[averaging] r", replace, avg, ratio_r=avg_sec.number("r"))
 
     opt_sec = _Section(parser, "optimizer")
     s_grid: list[float] = []
@@ -295,6 +291,6 @@ def load_config(path: str) -> RunConfig:
         omega_min=omega_min, omega_max=omega_max,
         coarse_step=coarse_step, refine_step=refine_step,
         baseline_shift=baseline_shift, cw_amplitude=cw_amplitude,
-        s=s_value, ratio_r=ratio_r, search=search, objective=objective,
+        avg=avg, search=search, objective=objective,
         mc=mc, out_dir=out_dir,
     )

@@ -25,6 +25,7 @@ from .errors import InfeasibleError, MetricsError
 from .qubit import TransmonParams
 from .spectroscopy import (CW_AMPLITUDE_DEFAULT, SpectrumMetrics, metrics,
                            sweep_narrowed, sweep_refined)
+from .units import to_mhz
 
 # time-constant seed rule: the k-th harmonic's moment argument lands where
 # the cosine-weighted moment is suppressed
@@ -273,7 +274,7 @@ def optimize(scheme: str, space: SearchSpace, transmon: TransmonParams,
         best_peak = max(valid, key=lambda pt: pt.metrics.peak_value) if valid else None
         raise InfeasibleError(
             f"no grid point satisfies peak >= {objective.p_min}"
-            + (f" and |shift| <= {objective.shift_max}"
+            + (f" and |shift| <= {to_mhz(objective.shift_max):.9g} MHz"
                if objective.shift_max is not None else ""),
             best_peak_point=best_peak,
         )

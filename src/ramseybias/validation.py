@@ -23,6 +23,9 @@ from .qubit import DriveParams, TransmonParams, omega_eg, regime_quantities
 from .spectroscopy import _grid_quantities, make_grid, pe_average
 from .units import to_ghz
 
+# Monte Carlo draws of (omega, s, R) per averaged-curve check
+MC_DRAWS = 5
+
 
 @dataclass
 class CheckResult:
@@ -70,18 +73,15 @@ def _quantities(transmon, eta, omega):
     return drive, q_res, q_disp
 
 
-def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
-                   s: float | None = None, ratio_r: float | None = None,
-                   mc_draws: int = 5) -> ValidationReport:
+def run_validation(transmon: TransmonParams, eta: float, mc: McConfig,
+                   avg: AveragingParams | None = None) -> ValidationReport:
     """Run every cross-check and collect a deterministic report.
 
-    ``s`` defaults to the k = 3 seed 0.68 pi / (3 eta) and ``ratio_r`` to
-    0.001.
+    ``avg`` defaults to the k = 3 seed s = 0.68 pi / (3 eta) at R = 0.001.
     """
     rng = np.random.default_rng(mc.rng_seed)
-    if s is None:
-        s = seed_points(eta, [3.0])[0]
-    ratio_r = 0.001 if ratio_r is None else ratio_r
+    if avg is None:
+        avg = AveragingParams(seed_points(eta, [3.0])[0], 0.001)
     w_res = omega_eg(transmon, transmon.phi_res)
     checks: list[CheckResult] = []
 
@@ -123,14 +123,14 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
         worst_sigma = 0.0
         worst_abs = 0.0
         ok = True
-        for draw in range(mc_draws):
+        for draw in range(MC_DRAWS):
             omega = rng.uniform(w_res - 2.0 * eta, w_res + 2.0 * eta)
-            avg = AveragingParams(s * rng.uniform(0.5, 2.0),
-                                  float(rng.uniform(0.0, 0.05)))
+            drawn = AveragingParams(avg.s * rng.uniform(0.5, 2.0),
+                                    float(rng.uniform(0.0, 0.05)))
             drive, q_res, q_disp = _quantities(transmon, eta, omega)
             exact = pe_average(n_res, q_res.lam, q_res.theta, q_disp.delta_d,
-                               avg)
-            mean, err = mc_oracle(n_res, q_res, q_disp, drive, avg,
+                               drawn)
+            mean, err = mc_oracle(n_res, q_res, q_disp, drive, drawn,
                                   McConfig(mc.n_samples, mc.rng_seed + draw))
             dev = abs(exact - mean)
             bound = max(3.0 * err, 1e-3)
@@ -139,7 +139,7 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
             ok = ok and dev <= bound
         checks.append(CheckResult(name, ok, worst_abs, 1e-3,
                                   f"worst deviation/bound = {worst_sigma:.3f} "
-                                  f"over {mc_draws} draws at {mc.n_samples} samples"))
+                                  f"over {MC_DRAWS} draws at {mc.n_samples} samples"))
 
     # pure-phase dispersive step vs the exact two-level propagator
     drive, q_res, q_disp = _quantities(transmon, eta, w_res)
@@ -159,10 +159,11 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig, *,
                               "diagnostic: residual mixing of the far-detuned "
                               "bias, bounded by twice its mixing-angle sine"))
 
-    # probability range of the averaged curves over the default window
-    grid = make_grid(w_res - 2.0 * np.pi * 1.0e9, w_res + 2.0 * np.pi * 1.0e9,
-                     2.0 * np.pi * 5e6)
-    avg = AveragingParams(s, ratio_r)
+    # probability range of the averaged curves over w_res +- 1 GHz, cut
+    # below at one 5 MHz step so that every probe frequency is positive
+    step = 2.0 * np.pi * 5e6
+    grid = make_grid(max(w_res - 2.0 * np.pi * 1.0e9, step),
+                     w_res + 2.0 * np.pi * 1.0e9, step)
     raw = pe_average(2, *_grid_quantities(transmon, eta, grid), avg)
     excess = float(max(np.max(raw) - 1.0, -np.min(raw), 0.0))
     checks.append(CheckResult("double_avg_probability_range",

@@ -26,7 +26,7 @@ import pytest
 from ramseybias import (AveragingParams, BiasTrain, DriveParams, McConfig,
                         TransmonParams, compose_train, mc_oracle, metrics,
                         omega_eg, pe_average, regime_quantities,
-                        run_validation, sweep_refined)
+                        run_validation, sweep_refined, validation)
 from ramseybias.units import ghz, to_ghz, to_mhz
 from closed_amplitudes import ce_double, ce_triple
 from triple_closed_form import pe_avg_triple_closed
@@ -275,11 +275,12 @@ def test_criterion_10_close_resonance_approximation():
     assert all(np.isfinite(deviations))
 
 
-def test_criterion_11_validation_determinism():
+def test_criterion_11_validation_determinism(monkeypatch):
+    monkeypatch.setattr(validation, "MC_DRAWS", 3)
     transmon = TransmonParams.from_ghz()
     mc = McConfig(10**5, 42)
-    first = run_validation(transmon, ETA, mc, mc_draws=3)
-    second = run_validation(transmon, ETA, mc, mc_draws=3)
+    first = run_validation(transmon, ETA, mc)
+    second = run_validation(transmon, ETA, mc)
     identical = first.render() == second.render()
     ok = identical and first.all_passed
     report(11, ok, f"repeated runs byte-identical: {identical}; "

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ramseybias
-from ramseybias import AveragingParams, McConfig, Spectrum, cli, metrics
+from ramseybias import McConfig, Spectrum, cli, metrics
 from ramseybias.cli import (_curve_csv, _metrics_report, _quantize,
                             _quantized_spectrum, main)
 from ramseybias.config import TEMPLATE, load_config
@@ -180,12 +180,16 @@ def test_optimize_requires_grids(tmp_path):
 
 
 def test_exit_4_on_infeasible(tmp_path, capsys):
-    text = FAST_CFG + "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\np_min = 0.99\n"
+    text = (FAST_CFG + "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\n"
+            "p_min = 0.99\nshift_max_mhz = 5\n")
     out = str(tmp_path / "out")
     assert main(["optimize", "--config", write_cfg(tmp_path, text),
                  "--out", out]) == 4
     summary = read_report(os.path.join(out, "optimize_summary.txt"))
     assert summary["status"] == "infeasible"
+    # the shift cap is given in MHz, as every other value of the file
+    assert summary["reason"] == ("no grid point satisfies peak >= 0.99 and "
+                                 "|shift| <= 5 MHz")
     assert "best_peak_value" in summary
 
 
@@ -214,31 +218,53 @@ def test_validate_seed_override_changes_report(tmp_path):
 
 @pytest.mark.parametrize("r_line, want", [("r = 0", 0.0), ("r = 0.0", 0.0),
                                           ("# r = 0.001", None)])
-def test_validate_passes_the_configured_ratio(tmp_path, monkeypatch, r_line,
-                                              want):
-    # a configured R = 0 reaches the suite as 0; an absent R arrives as None
-    # and the suite's own default applies
+def test_validate_passes_the_configured_ratio(tmp_path, monkeypatch, capsys,
+                                              r_line, want):
+    # a configured R = 0 reaches the suite as 0; an s without its R is
+    # refused before the suite runs, naming the missing key
     seen = []
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs["ratio_r"])
-        return run_validation(*args, **kwargs)
+    def spy(transmon, eta, mc, avg=None):
+        seen.append(avg.ratio_r)
+        return run_validation(transmon, eta, mc, avg)
 
     monkeypatch.setattr("ramseybias.cli.run_validation", spy)
     cfg = write_cfg(tmp_path, FAST_CFG.replace("r = 0.001", r_line))
     out = tmp_path / "out"
-    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    code = main(["validate", "--config", cfg, "--out", str(out)])
+    if want is None:
+        assert code == 2 and seen == []
+        assert "[averaging] r: required" in capsys.readouterr().err
+        return
+    assert code == 0
     assert seen == [want]
     assert b"overall = pass" in (out / "validation_report.txt").read_bytes()
 
 
 def test_validation_ratio_defaults_to_0_001(tmp_path):
+    # without an [averaging] section the suite runs at the k = 3 seed and
+    # R = 0.001, the pair FAST_CFG configures
     cfg = load_config(write_cfg(tmp_path))
+    bare = load_config(write_cfg(tmp_path, FAST_CFG.replace(
+        "[averaging]\ns = 0.68pi/3eta\nr = 0.001\n", ""), name="bare.cfg"))
+    assert bare.avg is None and cfg.avg.ratio_r == 0.001
     mc = McConfig(2000, 3)
-    default = run_validation(cfg.transmon, cfg.eta, mc, s=cfg.s, ratio_r=None)
-    explicit = run_validation(cfg.transmon, cfg.eta, mc, s=cfg.s,
-                              ratio_r=0.001)
+    default = run_validation(bare.transmon, bare.eta, mc, bare.avg)
+    explicit = run_validation(cfg.transmon, cfg.eta, mc, cfg.avg)
     assert default.render() == explicit.render()
+
+
+def test_validate_keeps_its_probe_frequencies_positive(tmp_path):
+    # the line sits at 0.901 GHz, so the range check's window of
+    # w_res +- 1 GHz would reach below zero
+    text = FAST_CFG.replace("phi_res = 0.46", "ec_ghz = 0.1\nphi_res = 0.46")
+    text = text.replace("eta_ghz = 0.1", "eta_ghz = 0.02").replace(
+        "min_ghz = 4.0", "min_ghz = 0.5").replace("max_ghz = 5.0", "max_ghz = 1.3")
+    cfg = write_cfg(tmp_path, text.replace("n_samples = 20000", "n_samples = 2000"))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    report = read_report(out / "validation_report.txt")
+    assert report["overall"] == "pass"
 
 
 def test_exit_2_on_negative_seed(tmp_path, capsys):
@@ -290,6 +316,22 @@ GRIDS = "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\n"
      2, "--out: unusable output path"),
     ("baseline --out {out}/run.cfg", "out_dir = {out}", "out_dir = {out}/sub", 2,
      "--out: unusable output path"),
+    ("spectrum", "eta_ghz = 0.1", "eta_ghz = 0", 2, "[drive] eta_ghz:"),
+    ("spectrum", "s = 0.68pi/3eta", "s = 0", 2, "[averaging] s:"),
+    ("spectrum", "s = 0.68pi/3eta", "s = -1", 2, "[averaging] s:"),
+    ("spectrum", "r = 0.001\n", "r = -1\n", 2, "[averaging] r:"),
+    ("optimize", "r_values = 0.001", "r_values = 0.001\nshift_max_mhz = 0", 2,
+     "[optimizer] shift_max_mhz:"),
+    ("optimize", "r_values = 0.001", "r_values = logspace:0,0.1,12", 2,
+     "[optimizer] r_values:"),
+    ("optimize", "r_values = 0.001", "r_values = logspace:0.0005,0.1,0", 2,
+     "[optimizer] r_values:"),
+    ("validate", "n_samples = 20000", "n_samples = lots", 2, "[mc] n_samples:"),
+    # s and r come as a pair: a lone one is refused whatever the command
+    *[(command, old, "", 2, blamed)
+      for command in ("baseline", "spectrum", "optimize", "validate")
+      for old, blamed in (("s = 0.68pi/3eta\n", "[averaging] s: required"),
+                          ("r = 0.001\n", "[averaging] r: required"))],
 ])
 def test_bad_configs_never_exit_1(tmp_path, capsys, command, old, new, code,
                                   blamed):
@@ -512,10 +554,9 @@ def _template_curve(tmp_path, kind):
             "r = 0.001  ", "r = 0.045  ")
     cfg = write_cfg(tmp_path, text)
     run = load_config(cfg)
-    avg = None if kind == "cw" else AveragingParams(run.s, run.ratio_r)
     return cfg, sweep_refined(kind, run.transmon, run.eta, run.omega_min,
                               run.omega_max, run.coarse_step, run.refine_step,
-                              avg, cw_amplitude=run.cw_amplitude)
+                              run.avg, cw_amplitude=run.cw_amplitude)
 
 
 @pytest.mark.parametrize("kind", ["double", "triple", "general:4", "cw"])
@@ -620,3 +661,25 @@ def test_optimize_on_one_cpu_matches_every_cpu(tmp_path):
                         ("optimize_trace.csv", "optimize_summary.txt")])
     assert outputs[0] == outputs[1]
     assert outputs[0][1].startswith(b"status = ok") and b"evaluated = 9" in outputs[0][1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_trace_row_of_a_point_without_metrics(tmp_path, monkeypatch, workers):
+    # at k = 30 the time constant is so short that the line outgrows the
+    # template's window: it has no half-maximum crossing, so no metrics. On
+    # two workers it is the forked child's point
+    monkeypatch.setattr(ramseybias.averaging, "_usable_cpus", lambda: workers)
+    text = TEMPLATE.replace("step_mhz = 1.0", "step_mhz = 4").replace(
+        "refine_step_mhz = 0.1", "refine_step_mhz = 1").replace(
+        "k_values = 2.5, 3.0, 3.5", "k_values = 3, 30").replace(
+        "r_values = logspace:0.0005,0.1,12", "r_values = 0.001")
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 0
+    rows = (out / "optimize_trace.csv").read_text().splitlines()
+    assert len(rows) == 3
+    assert rows[1] == "1.13333333,0.001,4.50464871,0.675778618,305.896509,true"
+    assert rows[2] == "0.113333333,0.001,nan,nan,nan,false"
+    summary = read_report(out / "optimize_summary.txt")
+    assert summary["best_s_ns"] == "1.13333333"
+    assert summary["pareto_size"] == "1" and summary["evaluated"] == "2"

@@ -44,8 +44,9 @@ def test_template_parses(template_path):
     assert cfg.scheme == "double"
     assert cfg.transmon.ej_ratio == 100.0
     assert cfg.eta == pytest.approx(ghz(0.1))
-    assert cfg.s == pytest.approx(0.68 * math.pi / (3.0 * cfg.eta), rel=1e-12)
-    assert cfg.ratio_r == 0.001
+    assert cfg.avg.s == pytest.approx(0.68 * math.pi / (3.0 * cfg.eta),
+                                      rel=1e-12)
+    assert cfg.avg.ratio_r == 0.001
     assert cfg.omega_min == pytest.approx(ghz(3.5))
     assert cfg.coarse_step == pytest.approx(ghz(0.001))
     assert cfg.refine_step == pytest.approx(ghz(0.0001))
@@ -63,7 +64,7 @@ def test_minimal_defaults(tmp_path):
     cfg = load_config(write_cfg(tmp_path, MINIMAL))
     assert cfg.transmon.e_c == pytest.approx(0.5 * RAD_PER_GHZ)
     assert cfg.scheme == "double"
-    assert cfg.s is None and cfg.ratio_r is None
+    assert cfg.avg is None
     assert cfg.search is None
     assert cfg.objective == ObjectiveConfig()
     assert cfg.mc == McConfig(10**6, 42)

@@ -15,9 +15,16 @@ ETA = ghz(0.1)
 MC = McConfig(20000, 42)
 
 
+def run(mc=MC, draws=3):
+    """``run_validation`` at ``draws`` Monte Carlo draws per averaged curve."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validation, "MC_DRAWS", draws)
+        return run_validation(TRANSMON, ETA, mc)
+
+
 @pytest.fixture(scope="module")
 def report():
-    return run_validation(TRANSMON, ETA, MC, mc_draws=3)
+    return run()
 
 
 def test_all_checks_pass(report):
@@ -36,14 +43,14 @@ def test_expected_checks_present(report):
 
 
 def test_render_is_deterministic(report):
-    again = run_validation(TRANSMON, ETA, MC, mc_draws=3)
+    again = run()
     assert report.render() == again.render()
     assert "overall = pass" in report.render()
 
 
 def test_underpowered_sampling_still_passes():
     # tiny sample counts widen the Monte Carlo band but stay inside it
-    small = run_validation(TRANSMON, ETA, McConfig(100, 7), mc_draws=2)
+    small = run(McConfig(100, 7), draws=2)
     mc_checks = [c for c in small.checks if "monte_carlo" in c.name]
     assert all(c.passed for c in mc_checks)
 
@@ -58,7 +65,7 @@ def test_corrupted_closed_form_is_caught(monkeypatch):
             bias = 0.02 if n_res == n_biased else 0.0
             return pe_average(n_res, *args) + bias
         monkeypatch.setattr(validation, "pe_average", corrupted)
-        report = run_validation(TRANSMON, ETA, MC, mc_draws=3)
+        report = run()
         by_name = {c.name: c for c in report.checks}
         assert not by_name[caught].passed
         assert by_name[clean].passed
@@ -80,6 +87,6 @@ def test_composer_without_the_laboratory_advance_is_caught(monkeypatch):
             state = propagate_segment(state, q_res, drive, train.tau)
         return state
     monkeypatch.setattr(validation, "compose_train", no_advance)
-    report = run_validation(TRANSMON, ETA, MC, mc_draws=3)
+    report = run()
     failed = [c.name for c in report.checks if not c.passed]
     assert failed == ["train_population_vs_composed"]
