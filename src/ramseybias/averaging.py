@@ -49,8 +49,9 @@ QUAD_TOL = 1e-12
 # arguments integrated per block by the oracle; bounds its temporaries
 QUAD_BLOCK = 256
 
-# FFT coefficients of the train population at or below this are roundoff
-FOLD_TOL = 1e-12
+# FFT coefficients of the train population at or below this are dropped as
+# roundoff (at most 1.4e-16); from order 11 on, real ones lie below 1e-12
+FOLD_TOL = 1e-15
 
 # raw averages further outside [0, 1] than this indicate a broken formula
 RANGE_TOL = 1e-8

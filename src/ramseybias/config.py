@@ -271,13 +271,11 @@ def load_config(path: str) -> RunConfig:
         search = checked("[optimizer] r_values", replace, search, r_grid=r_grid)
     elif s_grid:
         _fail("optimizer", "r_values", "required with k_values or s_values_ns")
-    p_min = opt_sec.number("p_min", ObjectiveConfig.p_min)
-    shift_max = None
+    objective = checked("[optimizer] p_min", ObjectiveConfig,
+                        opt_sec.number("p_min", ObjectiveConfig.p_min))
     if opt_sec.has("shift_max_mhz"):
-        shift_max = opt_sec.scaled("shift_max_mhz", RAD_PER_MHZ)
-        if shift_max <= 0:
-            _fail("optimizer", "shift_max_mhz", "must be positive")
-    objective = ObjectiveConfig(p_min, shift_max)
+        objective = checked("[optimizer] shift_max_mhz", replace, objective,
+                            shift_max=opt_sec.scaled("shift_max_mhz", RAD_PER_MHZ))
 
     # seed 0 stands in until n_samples has passed, so that a refusal names
     # its key

@@ -56,6 +56,12 @@ class ObjectiveConfig:
     p_min: float = 0.3
     shift_max: float | None = None
 
+    def __post_init__(self):
+        if not 0 <= self.p_min <= 1:
+            raise ValueError(f"peak floor must lie in [0, 1], got {self.p_min}")
+        if self.shift_max is not None and not self.shift_max > 0:
+            raise ValueError(f"shift cap must be positive, got {self.shift_max}")
+
 
 @dataclass
 class EvalPoint:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .averaging import (RANGE_TOL, AveragingParams, ArrayLike, _check_range,
                         _pe_double_formula, _pe_grid_numeric)
-from .errors import DomainError, NoCrossingError, NoPeakError
+from .errors import DomainError, MetricsError, NoCrossingError, NoPeakError
 from .qubit import DriveParams, TransmonParams, omega_eg, regime_quantities
 from .units import to_ghz
 
@@ -141,20 +141,6 @@ def pe_average(n_res: int, lam: ArrayLike, theta: ArrayLike,
     return float(np.ravel(raw)[0]) if np.ndim(lam) == 0 else raw
 
 
-def cw_baseline(transmon: TransmonParams, eta: float, omega_grid: np.ndarray,
-                amplitude: float = CW_AMPLITUDE_DEFAULT) -> Spectrum:
-    """Continuous-wave reference line A eta^2/(delta^2 + eta^2).
-
-    The amplitude convention A defaults to 1/2, the large-argument
-    duration average of the resonant oscillation; location and width
-    metrics do not depend on it.
-    """
-    grid = np.asarray(omega_grid, dtype=float)
-    delta = regime_quantities(transmon, DriveParams(eta, grid), "resonant").delta
-    p = amplitude * eta**2 / (delta * delta + eta**2)
-    return Spectrum(grid, p, "cw")
-
-
 def sweep(scheme: str, transmon: TransmonParams, eta: float,
           omega_grid: np.ndarray, avg: AveragingParams | None = None, *,
           cw_amplitude: float = CW_AMPLITUDE_DEFAULT) -> Spectrum:
@@ -165,7 +151,10 @@ def sweep(scheme: str, transmon: TransmonParams, eta: float,
     :func:`pe_average`), so tags naming the same train give the same
     spectrum. Every grid point is computed on its own, so a sweep equals the
     sweeps of its pieces. Schemes other than "cw" require ``avg``. Raw
-    averages are clipped to [0, 1] for the spectrum.
+    averages are clipped to [0, 1] for the spectrum. "cw" is the reference
+    line A eta^2/(delta^2 + eta^2) with A = ``cw_amplitude``; its default
+    1/2 is the large-argument duration average of the resonant oscillation,
+    and location and width metrics do not depend on it.
     """
     grid = np.asarray(omega_grid, dtype=float)
     if grid.size == 0:
@@ -174,7 +163,8 @@ def sweep(scheme: str, transmon: TransmonParams, eta: float,
         raise ValueError("omega grid must be strictly increasing")
     n_res = parse_scheme(scheme)
     if n_res is None:
-        return cw_baseline(transmon, eta, grid, cw_amplitude)
+        delta = regime_quantities(transmon, DriveParams(eta, grid), "resonant").delta
+        return Spectrum(grid, cw_amplitude * eta**2 / (delta * delta + eta**2), scheme)
     if avg is None:
         raise ValueError(f"scheme {scheme!r} requires averaging parameters")
     p = pe_average(n_res, *_grid_quantities(transmon, eta, grid), avg)
@@ -247,8 +237,8 @@ def _crossing(x, y, i_peak, level, side) -> float:
     return float(x[k] + t * (x[j] - x[k]))
 
 
-def peak_location(spec: Spectrum) -> tuple[float, float]:
-    """Refined (omega, value) of the spectrum maximum.
+def _peak(spec: Spectrum) -> tuple[int, float, float]:
+    """Index of the maximal sample and the refined (omega, value) of the peak.
 
     Raises NoPeakError when the grid is too short or the maximum sits on a
     boundary.
@@ -260,7 +250,7 @@ def peak_location(spec: Spectrum) -> tuple[float, float]:
         raise NoPeakError(
             f"maximum at grid boundary omega/2pi = {to_ghz(spec.omega[i]):.9g} GHz"
         )
-    return _parabolic_peak(spec.omega, spec.p_e, i)
+    return (i, *_parabolic_peak(spec.omega, spec.p_e, i))
 
 
 def metrics(spec: Spectrum, reference: Spectrum | None = None) -> SpectrumMetrics:
@@ -274,22 +264,18 @@ def metrics(spec: Spectrum, reference: Spectrum | None = None) -> SpectrumMetric
     outside the half-maximum interval with height at least 1 % of the
     peak.
 
-    Raises NoPeakError as :func:`peak_location` does, and NoCrossingError
+    Raises NoPeakError as :func:`_peak` does, and NoCrossingError
     when a side has no bracketing pair of samples (the sample inside above
     the half level, the one outside at or below it). The left side is
     searched first, so when both sides lack a crossing the error names
     "left".
     """
-    peak_w, peak_v = peak_location(spec)
-    i = int(np.argmax(spec.p_e))
+    i, peak_w, peak_v = _peak(spec)
     half = peak_v / 2.0
     left = _crossing(spec.omega, spec.p_e, i, half, "left")
     right = _crossing(spec.omega, spec.p_e, i, half, "right")
 
-    shift = None
-    if reference is not None:
-        ref_w, _ = peak_location(reference)
-        shift = peak_w - ref_w
+    shift = None if reference is None else peak_w - _peak(reference)[1]
 
     w, p = spec.omega, spec.p_e
     wm, mid = w[1:-1], p[1:-1]
@@ -373,9 +359,9 @@ def _narrowed_holds(spec: Spectrum, span: np.ndarray, coarse: Spectrum,
     the fine samples at ``rest``, all of them outside ``span``.
 
     Between the ends of ``span`` both curves hold the same samples. So
-    metrics read the same samples from both when the maximal sample and the
-    outer samples of both half-maximum brackets lie strictly between those
-    ends, and no sample at ``rest`` reaches the maximal one, p_max.
+    metrics read the same samples from both when the outer samples of both
+    half-maximum brackets (and so the maximal sample) lie strictly between
+    those ends, and no sample at ``rest`` reaches the maximal one, p_max.
 
     That last check is the guard. Each x at ``rest`` lies less than a coarse
     step above the coarse sample at or below it, and over a coarse step the
@@ -385,13 +371,11 @@ def _narrowed_holds(spec: Spectrum, span: np.ndarray, coarse: Spectrum,
     values.
     """
     w, p = spec.omega, spec.p_e
-    i = int(np.argmax(p))
-    if not span[0] < w[i] < span[-1]:
-        return False
     try:
-        half = _parabolic_peak(w, p, i)[1] / 2.0
-        left, right = (_bracket(p, i, half, side)[0] for side in ("left", "right"))
-    except NoCrossingError:
+        i, _, peak_v = _peak(spec)
+        left, right = (_bracket(p, i, peak_v / 2.0, side)[0]
+                       for side in ("left", "right"))
+    except MetricsError:
         return False
     if not (span[0] < w[left] and w[right] < span[-1]):
         return False

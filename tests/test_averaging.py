@@ -408,6 +408,20 @@ def test_triple_numeric_gapless_reduces_to_long_segment():
     assert got == pytest.approx(want, abs=1e-7)
 
 
+@pytest.mark.parametrize("n_res", [2, 3, 4, 5, 6, 11, 19, 25])
+def test_gapless_train_collapses_to_one_long_segment(n_res):
+    # with no dispersive time n resonant segments of length tau compose to
+    # one of length n tau, so each order's moment table must reproduce
+    # order 1's at n times the time constant, over the template window
+    lam, theta, delta_d = _grid_quantities(
+        TRANSMON, ETA, make_grid(ghz(3.5), ghz(5.5), ghz(0.02)))
+    s = 0.68 * math.pi / (3 * ETA)
+    train = pe_average(n_res, lam, theta, delta_d, AveragingParams(s, 0.0))
+    segment = pe_average(1, lam, theta, delta_d, AveragingParams(n_res * s, 0.0))
+    assert lam.size == 101
+    assert np.max(np.abs(train - segment)) <= 1e-14
+
+
 def test_double_range_on_physical_inputs():
     rng = np.random.default_rng(21)
     for _ in range(50):

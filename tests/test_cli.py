@@ -302,6 +302,11 @@ GRIDS = "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\n"
     ("spectrum", "max_ghz = 5.0", "max_ghz = 4.1", 3, "grid boundary"),
     ("optimize", "r_values = 0.001", "r_values = 0.001\np_min = 0.99", 4,
      "infeasible"),
+    # a peak floor outside [0, 1] is refused, not searched
+    ("optimize", "r_values = 0.001", "r_values = 0.001\np_min = 2", 2,
+     "[optimizer] p_min:"),
+    ("optimize", "r_values = 0.001", "r_values = 0.001\np_min = -0.1", 2,
+     "[optimizer] p_min:"),
     # R times the dispersive phase rate overflows although R is finite
     ("spectrum", "r = 0.001\n", "r = 1e300\n", 3, "is not finite"),
     ("validate", "r = 0.001\n", "r = 1e300\n", 3, "is not finite"),

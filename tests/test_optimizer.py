@@ -65,6 +65,16 @@ def test_search_space_validation():
         run(SearchSpace((1e-9,), (0.001,)), "cw")
 
 
+def test_objective_validation():
+    assert ObjectiveConfig(0.0).p_min == 0.0 and ObjectiveConfig(1.0).p_min == 1.0
+    for p_min in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="peak floor"):
+            ObjectiveConfig(p_min)
+    for shift_max in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="shift cap"):
+            ObjectiveConfig(shift_max=shift_max)
+
+
 def test_single_point_space():
     s3 = seed_points(ETA, [3.0])[0]
     result = run(SearchSpace((s3,), (0.001,)))

@@ -5,19 +5,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ramseybias import (AveragingParams, DomainError, DriveParams,
                         MetricsError, NoCrossingError, NoPeakError, Spectrum,
-                        SpectrumMetrics, TransmonParams, cw_baseline,
-                        make_grid, metrics, omega_eg, pe_average,
-                        regime_quantities, sweep, sweep_refined)
+                        SpectrumMetrics, TransmonParams, make_grid, metrics,
+                        omega_eg, pe_average, regime_quantities, sweep,
+                        sweep_refined)
 from ramseybias import spectroscopy
 from ramseybias.averaging import _pe_double_formula, _pe_grid_numeric
 from ramseybias.spectroscopy import (FRINGE_THRESHOLD, MAX_GRID_POINTS,
-                                     _grid_quantities, _parabolic_peak,
-                                     grid_points, parse_scheme, peak_location,
-                                     sweep_narrowed)
+                                     _grid_quantities, _parabolic_peak, _peak,
+                                     grid_points, parse_scheme, sweep_narrowed)
 from ramseybias.units import ghz, to_ghz, to_mhz
 
 TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)
@@ -84,7 +83,7 @@ def test_pe_average_refuses_an_order_past_the_torus_bound():
 def test_cw_peak_and_half_values():
     grid = np.array([W_RES - 4 * ETA, W_RES - 2 * ETA, W_RES,
                      W_RES + 2 * ETA, W_RES + 4 * ETA])
-    spec = cw_baseline(TRANSMON, ETA, grid, amplitude=0.5)
+    spec = sweep("cw", TRANSMON, ETA, grid, cw_amplitude=0.5)
     assert spec.p_e[2] == pytest.approx(0.5, rel=1e-14)
     # half maximum exactly two couplings away
     assert spec.p_e[1] == pytest.approx(0.25, rel=1e-14)
@@ -93,20 +92,20 @@ def test_cw_peak_and_half_values():
 
 def test_cw_symmetry():
     offsets = np.linspace(ghz(0.001), ghz(1.0), 400)
-    left = cw_baseline(TRANSMON, ETA, np.sort(W_RES - offsets)).p_e[::-1]
-    right = cw_baseline(TRANSMON, ETA, W_RES + offsets).p_e
+    left = sweep("cw", TRANSMON, ETA, np.sort(W_RES - offsets)).p_e[::-1]
+    right = sweep("cw", TRANSMON, ETA, W_RES + offsets).p_e
     assert np.max(np.abs(left - right)) < 1e-12
 
 
 def test_cw_fwhm_is_four_eta():
     grid = make_grid(W_RES - ghz(1.0), W_RES + ghz(1.0), ghz(0.001))
-    m = metrics(cw_baseline(TRANSMON, ETA, grid))
+    m = metrics(sweep("cw", TRANSMON, ETA, grid))
     assert to_mhz(m.fwhm) == pytest.approx(400.0, abs=1.0)
     assert m.peak_omega == pytest.approx(W_RES, abs=ghz(0.001))
 
 
 def test_cw_single_peaked_over_window():
-    spec = cw_baseline(TRANSMON, ETA, make_grid(ghz(4.0), ghz(5.0), ghz(0.001)))
+    spec = sweep("cw", TRANSMON, ETA, make_grid(ghz(4.0), ghz(5.0), ghz(0.001)))
     p = spec.p_e
     maxima = np.sum((p[1:-1] > p[:-2]) & (p[1:-1] > p[2:]))
     assert maxima == 1
@@ -143,7 +142,7 @@ def test_metrics_self_reference_shift():
 
 def test_metrics_boundary_peak_raises():
     grid = make_grid(W_RES, W_RES + ghz(1.0), ghz(0.01))
-    spec = cw_baseline(TRANSMON, ETA, grid)
+    spec = sweep("cw", TRANSMON, ETA, grid)
     with pytest.raises(NoPeakError):
         metrics(spec)
 
@@ -157,7 +156,7 @@ def test_metrics_needs_three_points():
 def test_metrics_missing_crossing_is_side_specific():
     # peak near the right edge: interior maximum but no right crossing
     grid = make_grid(W_RES - ghz(1.0), W_RES + ghz(0.05), ghz(0.01))
-    spec = cw_baseline(TRANSMON, ETA, grid)
+    spec = sweep("cw", TRANSMON, ETA, grid)
     with pytest.raises(NoCrossingError) as err:
         metrics(spec)
     assert err.value.side == "right"
@@ -446,6 +445,67 @@ def test_guard_falls_back_for_a_rise_between_coarse_samples(monkeypatch):
     assert abs(metrics(whole).peak_omega - tip) < refine_step
 
 
+def guard_inputs(fine, coarse_p):
+    """The guard's narrowed curve, span, coarse pass and rest of the fine
+    grid, for coarse samples ``coarse_p`` at 0, 1, ..., 10 and a fine grid
+    at 0.1 steps over [3, 7] with values ``fine(w)``; [4, 6] is the span."""
+    coarse = Spectrum(np.arange(11.0), coarse_p, "x")
+    fine_grid = np.arange(30, 71) / 10
+    near = np.abs(fine_grid - 5.0) <= 1.0
+    span = fine_grid[near]
+    spec = spectroscopy._merged(coarse, Spectrum(span, fine(span), "x"))
+    return spec, span, coarse, fine_grid[~near]
+
+
+def narrow_line(w):
+    return 0.5 / (1.0 + 4.0 * (w - 5.0) ** 2)
+
+
+def test_guard_refuses_a_maximum_outside_the_narrowed_span():
+    # a coarse sample at 1 lies above every fine sample, so metrics read the
+    # peak where the narrowed pass averaged nothing
+    coarse_p = narrow_line(np.arange(11.0))
+    coarse_p[1] = 0.9
+    spec, span, coarse, rest = guard_inputs(narrow_line, coarse_p)
+    assert abs(metrics(spec).peak_omega - 1.0) < 0.5
+    assert not spectroscopy._narrowed_holds(spec, span, coarse, rest, 0.0)
+
+
+def test_guard_refuses_a_curve_without_a_half_maximum_crossing():
+    # right of its peak the line stays above half maximum out to the end of
+    # the coarse pass, so metrics find no right bracket
+    def shoulder(w):
+        return np.where(w <= 5.0, narrow_line(w), 0.5 - 0.005 * (w - 5.0) ** 2)
+
+    spec, span, coarse, rest = guard_inputs(shoulder, shoulder(np.arange(11.0)))
+    with pytest.raises(NoCrossingError) as err:
+        metrics(spec)
+    assert err.value.side == "right"
+    assert not spectroscopy._narrowed_holds(spec, span, coarse, rest, 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_res=st.integers(2, 6), k=st.floats(1.0, 5.0),
+       log_r=st.floats(math.log(1e-4), math.log(0.3)),
+       phi_disp=st.floats(0.47, 0.495), offset_ghz=st.floats(-1.0, 0.5))
+def test_rise_rate_bounds_the_sampled_slope(n_res, k, log_r, phi_disp, offset_ghz):
+    # the bound that lets the narrowed pass skip fine samples, against the
+    # steepest slope between the 0.05 MHz samples of a 100 MHz window
+    transmon = TransmonParams.from_ghz(0.5, 100.0, 0.46, phi_disp)
+    grid = make_grid(W_RES + ghz(offset_ghz), W_RES + ghz(offset_ghz + 0.1),
+                     ghz(0.00005))
+    assume(not grid[0] <= omega_eg(transmon, phi_disp) <= grid[-1])
+    avg = AveragingParams(0.68 * math.pi / (k * ETA), math.exp(log_r))
+    with warnings.catch_warnings():
+        # windows within 10 eta of the dispersive splitting warn
+        warnings.filterwarnings("ignore", ".* of the dispersive-bias splitting",
+                                UserWarning)
+        p = sweep(f"general:{n_res}", transmon, ETA, grid, avg).p_e
+    slope = np.max(np.abs(np.diff(p)) / np.diff(grid))
+    assert slope <= spectroscopy._rise_rate(n_res, transmon, ETA, avg,
+                                            grid[0], grid[-1])
+
+
 # ------------------------------------------------------ fringe behavior
 
 def test_double_fringes_suppressed_quick():
@@ -487,8 +547,7 @@ def _loop_crossing(x, y, i_peak, level, side) -> float:
 def loop_metrics(spec):
     """The sample-by-sample walk and fringe scan that ``metrics`` replaced,
     kept as its reference (the shift against a reference is unchanged)."""
-    peak_w, peak_v = peak_location(spec)
-    i = int(np.argmax(spec.p_e))
+    i, peak_w, peak_v = _peak(spec)
     half = peak_v / 2.0
     left = _loop_crossing(spec.omega, spec.p_e, i, half, "left")
     right = _loop_crossing(spec.omega, spec.p_e, i, half, "right")
