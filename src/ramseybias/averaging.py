@@ -26,7 +26,6 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from pathlib import Path
@@ -71,12 +70,11 @@ def _asymptotic_coefficients(terms: int) -> np.ndarray:
     """a_2 .. a_{terms+1} of the moment's series in 1/b^2.
 
     With D(b) ~ sum_k d_k b^(-2k-1), d_0 = 1/2 and d_k = (2k-1)!!/2^(k+1),
-    the Dawson form gives a_j = (2 d_{j+1} - 3 d_j)/2; a_0 and a_1 vanish.
-    Every a_j is exact in double for the terms used here.
+    the Dawson form gives a_j = (2 d_{j+1} - 3 d_j)/2 = (j-1)(2j-1)!!/2^(j+1);
+    a_0 and a_1 vanish. Each numerator is below 2^53 for the terms used
+    here, so every a_j is exact in double.
     """
-    def d(k):
-        return Fraction(prod(range(1, 2 * k, 2)), 2 ** (k + 1))
-    return np.array([float((2 * d(j + 1) - 3 * d(j)) / 2)
+    return np.array([(j - 1) * prod(range(1, 2 * j, 2)) / 2 ** (j + 1)
                      for j in range(2, terms + 2)])
 
 

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -261,6 +262,18 @@ def test_quadrature_oracle_raises_past_its_range():
     assert i_s(50.0, 1.0, method="quad") == pytest.approx(mp_moment(50.0), abs=1e-15)
     with pytest.raises(ArithmeticError, match="differ by"):
         i_s([1.0, 200.0], 1.0, method="quad")
+
+
+def test_asymptotic_coefficients_equal_the_rational_derivation():
+    # a_j = (2 d_{j+1} - 3 d_j)/2 from the Dawson series' d_k =
+    # (2k-1)!!/2^(k+1), in exact rationals
+    def d(k):
+        return Fraction(math.prod(range(1, 2 * k, 2)), 2 ** (k + 1))
+    exact = [(2 * d(j + 1) - 3 * d(j)) / 2 for j in range(2, 14)]
+    coefficients = averaging._asymptotic_coefficients(12).tolist()
+    assert [a.hex() for a in coefficients] == [float(a).hex() for a in exact]
+    assert [Fraction(a) for a in coefficients] == exact
+    assert averaging._ASYMPTOTIC.tolist() == coefficients[::-1]
 
 
 def test_moment_table_regenerates_bit_for_bit():

@@ -1,5 +1,7 @@
 """Command-line behavior: files, round trips, exit codes, determinism."""
 
+import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from ramseybias.config import TEMPLATE, load_config
 from ramseybias.spectroscopy import sweep_refined
 from ramseybias.units import RAD_PER_GHZ, ghz, to_ghz
 from ramseybias.validation import CheckResult, ValidationReport, run_validation
+from test_golden_outputs import GOLDEN
 
 # small window keeps CLI runs around the peak fast while preserving
 # both half-maximum crossings (cw width is 0.4 GHz)
@@ -433,6 +436,55 @@ def test_quantized_spectrum_keeps_the_first_of_rows_that_print_alike():
     assert rounded.p_e.tolist() == [0.25, 0.75]
 
 
+@pytest.mark.parametrize("command, name", [
+    ("spectrum", "spectrum.csv"), ("baseline", "baseline_metrics.txt")])
+def test_failed_replace_leaves_no_temporary_file(tmp_path, capsys, command,
+                                                 name):
+    # a directory in the way of an output file: its temporary file is
+    # written in full, then cannot replace it
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --out: unusable output path: " in err
+    assert str(out / name) in err
+    assert list(out.glob("*.tmp")) == []
+    assert (out / name).is_dir()
+
+
+def test_failed_write_removes_its_temporary_file(tmp_path):
+    # a lone surrogate cannot be encoded, so writing the text fails
+    path = tmp_path / "report.txt"
+    with pytest.raises(UnicodeEncodeError):
+        cli._atomic_write(str(path), "ok\n\ud800\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("code", [0, 2])
+def test_entry_freezes_the_heap_before_main(monkeypatch, code):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
+    assert calls == ["freeze", "main"]
+
+
+def test_module_run_writes_the_golden_baseline(tmp_path):
+    # python -m runs entry(), the one path that freezes the import heap
+    cfg = write_cfg(tmp_path, TEMPLATE)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramseybias.cli", "baseline", "--config", cfg,
+         "--out", str(out)], env=_src_env(), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert {path.name: hashlib.md5(path.read_bytes()).hexdigest()
+            for path in out.iterdir()} == GOLDEN["template", "baseline"]
+
+
 def test_init_into_an_unusable_path_exits_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -467,6 +519,8 @@ import sys
 import ramseybias.cli
 loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
 assert not loaded, f'scipy loaded at import: {loaded}'
+for name in ('fractions', 'decimal'):
+    assert name not in sys.modules, f'{name} loaded at import'
 config, out = sys.argv[1:]
 for command in ('baseline', 'spectrum', 'optimize'):
     assert ramseybias.cli.main([command, '--config', config, '--out', out]) == 0
@@ -599,6 +653,28 @@ def test_quantize_equals_printing_and_rereading(v):
     q = float(_quantize(np.array([v]))[0])
     assert q.hex() == _reread(v).hex()
     assert "%.9g" % q == "%.9g" % v
+
+
+PRINTED_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 2.2250738585072009e-308,
+                 -2.5, 1e9, -1e9, 123456789012.5, 1.7976931348623157e308]
+printed_values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(PRINTED_EDGES))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(printed_values, printed_values), max_size=40))
+def test_curve_csv_equals_formatting_each_row(rows):
+    ghz_col = np.array([g for g, _ in rows], dtype=float)
+    p_col = np.array([p for _, p in rows], dtype=float)
+    assert _curve_csv(ghz_col, p_col) == "omega_ghz,p_e\n" + "".join(
+        "%.9g,%.9g\n" % pair for pair in zip(ghz_col, p_col))
+
+
+def test_curve_csv_of_edge_values_and_no_rows():
+    edges = np.array(PRINTED_EDGES)
+    assert _curve_csv(edges, edges[::-1]).splitlines()[1:4] == [
+        "0,1.79769313e+308", "-0,1.23456789e+11", "4.94065646e-324,-1e+09"]
+    assert _curve_csv(np.empty(0), np.empty(0)) == "omega_ghz,p_e\n"
 
 
 def test_quantize_at_ties_powers_of_ten_and_range_edges():
