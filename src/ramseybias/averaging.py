@@ -22,8 +22,6 @@ numeric composer checks them all.
 
 from __future__ import annotations
 
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -57,7 +55,9 @@ RANGE_TOL = 1e-8
 # Monte Carlo samples composed per slice; bounds the oracle's temporaries
 MC_CHUNK = 2**13
 # most Monte Carlo samples: the oracle's population array holds 8 bytes per
-# sample, 800 MB here, 100 times the init template's count
+# sample, 800 MB here, 100 times the init template's count. ``validate`` runs
+# one oracle call per usable CPU at a time, so w workers hold w times that:
+# 1.6 GB on 2 CPUs
 MAX_MC_SAMPLES = 10**8
 
 # cells per unit of b of the moment table, and the end of the table; the
@@ -362,14 +362,6 @@ def _pe_grid_numeric(n_res: int, lam: np.ndarray, theta: np.ndarray,
                    for k, l, row in zip(*_moment_table(n_res)))
 
 
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
 def mc_oracle(n_res: int, q_res: RegimeQuantities, q_disp: RegimeQuantities,
               drive: DriveParams, avg: AveragingParams,
               mc: McConfig) -> tuple[float, float]:
@@ -381,58 +373,22 @@ def mc_oracle(n_res: int, q_res: RegimeQuantities, q_disp: RegimeQuantities,
     form it validates. The (seed, n_samples) pair maps to the result
     deterministically.
 
-    The samples are handled in slices of ``MC_CHUNK``. With w usable CPUs
-    (at most the slice count) there are w workers: the calling thread and
-    w - 1 threads started here. A worker claims the next slice and draws its
-    durations under one lock, so the random stream is read in slice order
-    and the draws equal one whole draw bit for bit; it then scales and
-    composes them outside the lock into its own part of one population
-    array, whose mean and standard error are taken whole. numpy releases
-    the interpreter lock inside the draw and the composer's array
-    operations, so one worker draws while the others compose. The composer
-    treats each sample on its own, so neither the slicing nor the worker
-    count changes a bit of the result. If a slice raises, no worker claims
-    another, every thread is joined, and the first exception is raised.
-    No array of all the durations is held: each slice in flight holds its
-    own durations and about 216 bytes per sample of composer temporaries,
-    about 1.7 MiB, and only the populations, 8 bytes per sample, grow with
-    ``n_samples``.
+    The samples are drawn from one random stream and composed in turn, in
+    slices of ``MC_CHUNK``; as the composer treats each sample on its own,
+    the slicing changes no bit of the result. A slice holds its durations
+    and about 216 bytes per sample of composer temporaries, about 1.7 MiB;
+    only the populations, 8 bytes per sample, grow with ``n_samples``. A
+    call runs on one CPU: ``validation`` shares whole calls out over
+    forked workers.
     """
     rng = np.random.default_rng(mc.rng_seed)
     pe = np.empty(mc.n_samples)
-    starts = range(0, mc.n_samples, MC_CHUNK)
-    unclaimed = iter(starts)
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def compose() -> None:
-        try:
-            while True:
-                with lock:
-                    start = None if errors else next(unclaimed, None)
-                    if start is None:
-                        return
-                    tau = sample_maxwell(rng, min(MC_CHUNK, mc.n_samples - start))
-                tau *= avg.s
-                train = BiasTrain(n_res, tau, avg.ratio_r)
-                pe[start:start + tau.size] = compose_train(
-                    q_res, q_disp, drive, train).p_e()
-        except BaseException as exc:
-            with lock:
-                errors.append(exc)
-
-    threads = []
-    try:
-        for _ in range(min(_usable_cpus(), len(starts)) - 1):
-            thread = threading.Thread(target=compose)
-            thread.start()
-            threads.append(thread)
-        compose()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    for start in range(0, mc.n_samples, MC_CHUNK):
+        tau = sample_maxwell(rng, min(MC_CHUNK, mc.n_samples - start))
+        tau *= avg.s
+        train = BiasTrain(n_res, tau, avg.ratio_r)
+        pe[start:start + tau.size] = compose_train(q_res, q_disp, drive,
+                                                   train).p_e()
     mean = float(pe.mean())
     if mc.n_samples == 1:
         return mean, 0.0

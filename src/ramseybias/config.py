@@ -22,7 +22,7 @@ from .averaging import AveragingParams, McConfig
 from .errors import ConfigError
 from .optimizer import ObjectiveConfig, SearchSpace, seed_points
 from .qubit import TransmonParams
-from .spectroscopy import grid_points, parse_scheme
+from .spectroscopy import MAX_GRID_POINTS, grid_points, parse_scheme
 from .units import RAD_PER_GHZ, RAD_PER_MHZ, ns
 
 TEMPLATE = """\
@@ -178,8 +178,9 @@ def _parse_values(text: str, section: str, key: str) -> tuple[float, ...]:
             lo, hi, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
         except ValueError:
             _fail(section, key, f"malformed logspace spec {text!r}")
-        if lo <= 0 or hi <= 0 or count < 1:
-            _fail(section, key, "logspace needs positive bounds and count >= 1")
+        if lo <= 0 or hi <= 0 or not 1 <= count <= MAX_GRID_POINTS:
+            _fail(section, key, "logspace needs positive bounds and a count "
+                                f"from 1 to {MAX_GRID_POINTS:,}")
         return tuple(float(v) for v in np.geomspace(lo, hi, count))
     try:
         return tuple(_finite(v) for v in text.split(","))
@@ -197,7 +198,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc

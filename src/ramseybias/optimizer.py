@@ -19,7 +19,6 @@ import threading
 import warnings
 from dataclasses import dataclass
 
-from . import averaging
 from .averaging import AveragingParams
 from .errors import InfeasibleError, MetricsError
 from .qubit import TransmonParams
@@ -122,7 +121,7 @@ def _outcomes(evaluate, points: list) -> list:
     """(result, warnings) of each point in turn, up to and including the
     first point that raises.
 
-    A result is the point's EvalPoint or the exception it raised; its
+    A result is what ``evaluate`` returned or the exception it raised; its
     warnings are (message, filename, lineno) triples, all recorded, so that
     :func:`_reissue` applies the caller's filters to them.
     """
@@ -167,8 +166,19 @@ def _reissue(message: Warning, filename: str, lineno: int) -> None:
                            getattr(module, "__name__", None), registry)
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _evaluate_all(evaluate, points: list) -> list:
     """``evaluate`` at every point, on w = min(usable CPUs, points) workers.
+
+    The grid points of :func:`optimize` and the Monte Carlo blocks of
+    ``validation`` run here.
 
     Point i goes to worker i mod w. Worker 0 is this process; the others
     are forked children that send their outcomes back pickled over a pipe.
@@ -179,7 +189,7 @@ def _evaluate_all(evaluate, points: list) -> list:
     process with threads can deadlock the child. A child that exits without
     sending all its outcomes raises RuntimeError naming its exit status.
     """
-    workers = min(averaging._usable_cpus(), len(points))
+    workers = min(_usable_cpus(), len(points))
     if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [evaluate(point) for point in points]
     pids, pipes = [], []
@@ -196,7 +206,7 @@ def _evaluate_all(evaluate, points: list) -> list:
                     os.close(write_fd)
             except OSError as exc:
                 # not an output-path error, as the CLI reads an OSError
-                raise RuntimeError(f"cannot start an optimizer worker: {exc}") from exc
+                raise RuntimeError(f"cannot start a worker process: {exc}") from exc
             pids.append(pid)
         shares = [_outcomes(evaluate, points[::workers])]
         # read to the end before waiting: a child blocks on a full pipe
@@ -208,7 +218,7 @@ def _evaluate_all(evaluate, points: list) -> list:
             status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
             del pids[0]
             if status != 0:
-                raise RuntimeError(f"optimizer worker exited with status "
+                raise RuntimeError(f"worker process exited with status "
                                    f"{status} before sending all its results")
             shares.append(pickle.loads(data))
     finally:

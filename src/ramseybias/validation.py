@@ -6,7 +6,10 @@ duration averages that every curve comes from (the two-segment closed form
 and the three-segment moment sum) against Monte Carlo sampling at random
 detunings, the tabulated moment against Gauss-Legendre quadrature, and
 sweeps unitarity and probability ranges. It is pure given its seed, so
-repeated runs render byte-identical reports.
+repeated runs render byte-identical reports. The Monte Carlo blocks are
+drawn first and then shared out over every usable CPU in forked workers,
+as ``optimize`` shares its grid points, so the report is the same for any
+CPU count.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .averaging import RANGE_TOL, AveragingParams, McConfig, i_s, mc_oracle
 from .evolution import (BiasTrain, GROUND, compose_train, dispersive_phase,
                         propagate_segment, train_excitation)
-from .optimizer import seed_points
+from .optimizer import _evaluate_all, seed_points
 from .qubit import DriveParams, TransmonParams, omega_eg, regime_quantities
 from .spectroscopy import _grid_quantities, make_grid, pe_average
 from .units import to_ghz
@@ -117,21 +120,27 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig,
                               worst, 1e-9,
                               "1000-point grid, moment argument in [0, 10 pi]"))
 
-    # the averages every curve comes from vs the Monte Carlo oracle
-    for name, n_res in (("double_avg_vs_monte_carlo", 2),
-                        ("triple_avg_vs_monte_carlo", 3)):
-        worst_sigma = 0.0
-        worst_abs = 0.0
+    # the averages every curve comes from vs the Monte Carlo oracle: every
+    # block's (omega, s, R) is drawn here in order, then the blocks run on
+    # every usable CPU
+    blocks = (("double_avg_vs_monte_carlo", 2), ("triple_avg_vs_monte_carlo", 3))
+    jobs = [(n_res, rng.uniform(w_res - 2.0 * eta, w_res + 2.0 * eta),
+             AveragingParams(avg.s * rng.uniform(0.5, 2.0),
+                             float(rng.uniform(0.0, 0.05))),
+             McConfig(mc.n_samples, mc.rng_seed + draw))
+            for _, n_res in blocks for draw in range(MC_DRAWS)]
+
+    def compare(job):
+        n_res, omega, drawn, draw_mc = job
+        drive, q_res, q_disp = _quantities(transmon, eta, omega)
+        exact = pe_average(n_res, q_res.lam, q_res.theta, q_disp.delta_d, drawn)
+        return (exact, *mc_oracle(n_res, q_res, q_disp, drive, drawn, draw_mc))
+
+    outcomes = _evaluate_all(compare, jobs)
+    for block, (name, _) in enumerate(blocks):
+        worst_sigma = worst_abs = 0.0
         ok = True
-        for draw in range(MC_DRAWS):
-            omega = rng.uniform(w_res - 2.0 * eta, w_res + 2.0 * eta)
-            drawn = AveragingParams(avg.s * rng.uniform(0.5, 2.0),
-                                    float(rng.uniform(0.0, 0.05)))
-            drive, q_res, q_disp = _quantities(transmon, eta, omega)
-            exact = pe_average(n_res, q_res.lam, q_res.theta, q_disp.delta_d,
-                               drawn)
-            mean, err = mc_oracle(n_res, q_res, q_disp, drive, drawn,
-                                  McConfig(mc.n_samples, mc.rng_seed + draw))
+        for exact, mean, err in outcomes[block * MC_DRAWS:(block + 1) * MC_DRAWS]:
             dev = abs(exact - mean)
             bound = max(3.0 * err, 1e-3)
             worst_abs = max(worst_abs, dev)

@@ -25,7 +25,7 @@ import pytest
 
 from ramseybias import (AveragingParams, BiasTrain, DriveParams, McConfig,
                         TransmonParams, compose_train, mc_oracle, metrics,
-                        omega_eg, pe_average, regime_quantities,
+                        omega_eg, optimizer, pe_average, regime_quantities,
                         run_validation, sweep_refined, validation)
 from ramseybias.units import ghz, to_ghz, to_mhz
 from closed_amplitudes import ce_double, ce_triple
@@ -225,27 +225,33 @@ def test_criterion_9_oracle_equivalence():
     transmon = TransmonParams.from_ghz()
     w_res = omega_eg(transmon, transmon.phi_res)
     rng = np.random.default_rng(909)
-    worst_ratio = 0.0
     n_samples = 10**6
+    draws = []
     for draw in range(50):
         if draw % 2 == 0:
             omega = float(rng.uniform(w_res - 2 * ETA, w_res + 2 * ETA))
             avg = AveragingParams(S_DOUBLE * rng.uniform(0.5, 2.0),
                                   float(rng.uniform(0.0, 0.05)))
-            drive, q_res, q_disp = quantities(transmon, omega)
-            closed = pe_avg(2, q_res, q_disp, avg)
-            n_res = 2
         else:
             # the close-resonance closed form is exact only at zero detuning
+            omega = w_res
             avg = AveragingParams(S_TRIPLE * rng.uniform(0.5, 2.0),
                                   float(rng.uniform(0.0, 0.05)))
-            drive, q_res, q_disp = quantities(transmon, w_res)
-            closed = pe_avg_triple_closed(q_res, q_disp, avg)
-            n_res = 3
+        draws.append((draw, omega, avg))
+
+    def deviation(job):
+        draw, omega, avg = job
+        drive, q_res, q_disp = quantities(transmon, omega)
+        if draw % 2 == 0:
+            n_res, closed = 2, pe_avg(2, q_res, q_disp, avg)
+        else:
+            n_res, closed = 3, pe_avg_triple_closed(q_res, q_disp, avg)
         mean, err = mc_oracle(n_res, q_res, q_disp, drive, avg,
                               McConfig(n_samples, 1000 + draw))
-        bound = max(3.0 * err, 1e-3)
-        worst_ratio = max(worst_ratio, abs(closed - mean) / bound)
+        return abs(closed - mean) / max(3.0 * err, 1e-3)
+
+    # the draws run on every usable CPU, as validate runs its blocks
+    worst_ratio = max(optimizer._evaluate_all(deviation, draws))
     elapsed = time.perf_counter() - start
     ok = worst_ratio <= 1.0 and elapsed < 120.0
     report(9, ok, f"50 draws at 1e6 samples, worst deviation/bound "

@@ -3,9 +3,7 @@
 import importlib.util
 import math
 import re
-import sys
 import threading
-import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -19,8 +17,8 @@ from scipy.optimize import minimize_scalar
 
 from ramseybias import (AveragingParams, BiasTrain, DomainError, DriveParams,
                         McConfig, TransmonParams, averaging, compose_train,
-                        i_s, make_grid, mc_oracle, omega_eg, pe_average,
-                        regime_quantities, sample_maxwell, sweep)
+                        i_s, make_grid, mc_oracle, omega_eg, optimizer,
+                        pe_average, regime_quantities, sample_maxwell, sweep)
 from ramseybias.averaging import X_CUTOFF, _moment_table, _pe_grid_numeric
 from ramseybias.evolution import train_excitation
 from ramseybias.spectroscopy import _grid_quantities
@@ -497,129 +495,36 @@ def test_mc_single_sample_convention():
     assert mean == pytest.approx(single, abs=1e-12)
 
 
-def test_mc_chunking_changes_no_bits(monkeypatch):
+def test_mc_chunking_changes_no_bits():
     # about 2.5 slices, the last one partial, against one whole draw
     drive, q_res, q_disp = quantities(W_RES + 0.7 * ETA)
     avg = AveragingParams(1.1e-9, 0.02)
     n = 5 * averaging.MC_CHUNK // 2 + 17
     tau = avg.s * sample_maxwell(np.random.default_rng(5), n)
     pe = compose_train(q_res, q_disp, drive, BiasTrain(3, tau, avg.ratio_r)).p_e()
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(averaging, "_usable_cpus", lambda: workers)
-        mean, err = mc_oracle(3, q_res, q_disp, drive, avg, McConfig(n, 5))
-        assert mean == float(pe.mean()), workers
-        assert err == float(pe.std(ddof=1) / np.sqrt(n)), workers
-
-
-def test_mc_oracle_draws_the_slices_in_stream_order(monkeypatch):
-    # the first draw is slow: a worker that claimed a later slice must not
-    # read the stream before it
-    drive, q_res, q_disp = quantities(W_RES + 0.7 * ETA)
-    avg = AveragingParams(1.1e-9, 0.02)
-    n = 5 * averaging.MC_CHUNK // 2 + 17
-    reference = mc_oracle(2, q_res, q_disp, drive, avg, McConfig(n, 8))
-    draw = averaging.sample_maxwell
-    first = threading.Event()
-
-    def slow_first(*args):
-        if not first.is_set():
-            first.set()
-            time.sleep(0.05)
-        return draw(*args)
-
-    monkeypatch.setattr(averaging, "sample_maxwell", slow_first)
-    monkeypatch.setattr(averaging, "_usable_cpus", lambda: 3)
-    assert mc_oracle(2, q_res, q_disp, drive, avg, McConfig(n, 8)) == reference
+    mean, err = mc_oracle(3, q_res, q_disp, drive, avg, McConfig(n, 5))
+    assert mean == float(pe.mean())
+    assert err == float(pe.std(ddof=1) / np.sqrt(n))
 
 
 @pytest.mark.parametrize("n_res", [2, 3, 6])
 def test_mc_oracle_is_independent_of_the_worker_count(monkeypatch, n_res):
+    # validate shares whole oracle calls out over forked workers; a call
+    # gives the same bits in a worker as in this process
     drive, q_res, q_disp = quantities(W_RES + 0.4 * ETA)
     avg = AveragingParams(1.1e-9, 0.02)
     chunk = averaging.MC_CHUNK
-    # frequent thread switches make a lost or misplaced slice likelier
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for n in (1, chunk - 1, chunk, 5 * chunk // 2 + 17):
-            results = []
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(averaging, "_usable_cpus", lambda: workers)
-                results.append(mc_oracle(n_res, q_res, q_disp, drive, avg,
-                                         McConfig(n, 11)))
-            assert results[1] == results[0] and results[2] == results[0], n
-    finally:
-        sys.setswitchinterval(interval)
+    sizes = [1, chunk - 1, chunk, 5 * chunk // 2 + 17]
 
+    def oracle(n):
+        return mc_oracle(n_res, q_res, q_disp, drive, avg, McConfig(n, 11))
 
-def _fail_off_the_main_thread(compose):
-    # the calling thread composes nothing until a started thread has
-    # claimed a slice and raised, so a started thread always raises first
-    raised = threading.Event()
-
-    def wrapper(*args):
-        if threading.current_thread() is threading.main_thread():
-            raised.wait(timeout=60)
-            return compose(*args)
-        raised.set()
-        raise FloatingPointError("pool slice")
-    return wrapper
-
-
-def test_mc_oracle_raises_what_a_pool_slice_raised(monkeypatch):
-    drive, q_res, q_disp = quantities(W_RES)
-    monkeypatch.setattr(averaging, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(averaging, "compose_train",
-                        _fail_off_the_main_thread(averaging.compose_train))
-    with pytest.raises(FloatingPointError, match="pool slice"):
-        mc_oracle(2, q_res, q_disp, drive, AveragingParams(1e-9, 0.01),
-                  McConfig(3 * averaging.MC_CHUNK, 1))
-
-
-def test_mc_oracle_leaves_no_thread_running(monkeypatch):
-    drive, q_res, q_disp = quantities(W_RES)
-    avg = AveragingParams(1e-9, 0.01)
-    before = threading.active_count()
-    monkeypatch.setattr(averaging, "_usable_cpus", lambda: 3)
-    mc_oracle(2, q_res, q_disp, drive, avg, McConfig(3 * averaging.MC_CHUNK, 1))
-    assert threading.active_count() == before
-    monkeypatch.setattr(averaging, "compose_train",
-                        _fail_off_the_main_thread(averaging.compose_train))
-    with pytest.raises(FloatingPointError):
-        mc_oracle(2, q_res, q_disp, drive, avg,
-                  McConfig(3 * averaging.MC_CHUNK, 1))
-    assert threading.active_count() == before
-
-
-def test_mc_oracle_stops_claiming_after_a_failed_slice(monkeypatch):
-    # 8 slices on 3 workers; the third slice composed raises at once while
-    # the others take 20 ms each, so the failure is recorded long before
-    # another slice could be claimed
-    drive, q_res, q_disp = quantities(W_RES)
-    compose = averaging.compose_train
-    lock = threading.Lock()
-    calls = []
-
-    def third_fails(*args):
-        with lock:
-            calls.append(args[3].tau.size)
-            third = len(calls) == 3
-        if third:
-            raise FloatingPointError("third slice")
-        time.sleep(0.02)
-        return compose(*args)
-
-    monkeypatch.setattr(averaging, "MC_CHUNK", 1000)
-    monkeypatch.setattr(averaging, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(averaging, "compose_train", third_fails)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="third slice"):
-        mc_oracle(2, q_res, q_disp, drive, AveragingParams(1e-9, 0.01),
-                  McConfig(7500, 1))
-    assert threading.active_count() == before
-    # slices in flight beside the failed one finish, at most one per other
-    # worker; none is claimed after it (of 8)
-    assert 3 <= len(calls) <= 5
+    serial = [oracle(n) for n in sizes]
+    # _evaluate_all runs serially while another thread is alive
+    assert threading.active_count() == 1
+    for workers in (2, 3):
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: workers)
+        assert optimizer._evaluate_all(oracle, sizes) == serial, workers
 
 
 def test_mc_deterministic():

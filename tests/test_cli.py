@@ -334,6 +334,9 @@ GRIDS = "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\n"
      "[optimizer] r_values:"),
     ("optimize", "r_values = 0.001", "r_values = logspace:0.0005,0.1,0", 2,
      "[optimizer] r_values:"),
+    # refused before numpy allocates 800 TB for the grid
+    ("optimize", "r_values = 0.001",
+     "r_values = logspace:0.0005,0.1,100000000000000", 2, "[optimizer] r_values:"),
     ("validate", "n_samples = 20000", "n_samples = lots", 2, "[mc] n_samples:"),
     # s and r come as a pair: a lone one is refused whatever the command
     *[(command, old, "", 2, blamed)
@@ -699,12 +702,11 @@ def test_quantize_at_ties_powers_of_ten_and_range_edges():
 
 
 def test_validate_on_one_cpu_matches_every_cpu(tmp_path):
-    # the Monte Carlo oracle composes its slices on every usable CPU; a
-    # process pinned to one composes them all in turn
+    # validate shares its Monte Carlo blocks out over every usable CPU in
+    # forked workers; a process pinned to one runs them all itself
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("os.sched_setaffinity is not available on this platform")
     cpu = min(os.sched_getaffinity(0))
-    # 1e5 samples make four slices per oracle call
     cfg = write_cfg(tmp_path, FAST_CFG.replace("n_samples = 20000",
                                                "n_samples = 100000"))
     reports = []
@@ -749,7 +751,7 @@ def test_trace_row_of_a_point_without_metrics(tmp_path, monkeypatch, workers):
     # at k = 30 the time constant is so short that the line outgrows the
     # template's window: it has no half-maximum crossing, so no metrics. On
     # two workers it is the forked child's point
-    monkeypatch.setattr(ramseybias.averaging, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(ramseybias.optimizer, "_usable_cpus", lambda: workers)
     text = TEMPLATE.replace("step_mhz = 1.0", "step_mhz = 4").replace(
         "refine_step_mhz = 0.1", "refine_step_mhz = 1").replace(
         "k_values = 2.5, 3.0, 3.5", "k_values = 3, 30").replace(

@@ -166,6 +166,11 @@ def test_malformed_file(tmp_path):
         load_config(write_cfg(tmp_path, "this is not an ini file\n"))
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "absent.cfg"))
+    # a byte that is not UTF-8
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"[transmon]\nphi_res = 0.46\xff\n")
+    with pytest.raises(ConfigError, match="cannot read config file .*utf-8"):
+        load_config(str(path))
 
 
 def test_negative_mc_seed_rejected(tmp_path):

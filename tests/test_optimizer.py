@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ramseybias import (DomainError, InfeasibleError, ObjectiveConfig,
-                        SearchSpace, TransmonParams, averaging, omega_eg,
+                        SearchSpace, TransmonParams, omega_eg,
                         optimize, optimizer, seed_points)
 from ramseybias.units import ghz, to_mhz
 
@@ -192,7 +192,7 @@ def deadline(seconds):
 
 
 def forking(monkeypatch, workers):
-    monkeypatch.setattr(averaging, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(optimizer, "_usable_cpus", lambda: workers)
     # optimize runs serially while another thread is alive
     assert threading.active_count() == 1
 

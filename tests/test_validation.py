@@ -1,12 +1,15 @@
 """The cross-check suite itself: it must pass, render deterministically,
 and actually catch a corrupted average."""
 
+import os
+import threading
+
 import pytest
 
 from ramseybias import (McConfig, TransmonParams, compose_train,
                         dispersive_phase, pe_average, propagate_segment,
                         run_validation)
-from ramseybias import validation
+from ramseybias import optimizer, validation
 from ramseybias.evolution import GROUND
 from ramseybias.units import ghz
 
@@ -90,3 +93,40 @@ def test_composer_without_the_laboratory_advance_is_caught(monkeypatch):
     report = run()
     failed = [c.name for c in report.checks if not c.passed]
     assert failed == ["train_population_vs_composed"]
+
+
+def test_report_is_the_same_on_any_worker_count(monkeypatch):
+    # the Monte Carlo blocks run in forked workers; they run serially while
+    # another thread is alive
+    assert threading.active_count() == 1
+    reports = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: workers)
+        reports.append(run_validation(TRANSMON, ETA, MC).render())
+    assert reports[0] == reports[1] == reports[2]
+    assert "overall = pass" in reports[0]
+
+
+def test_a_failing_monte_carlo_job_raises_in_job_order(monkeypatch):
+    # job j is draw j % MC_DRAWS of the double block, then of the triple
+    # one; on two workers the odd jobs run in a forked child
+    oracle = validation.mc_oracle
+    mc = McConfig(2000, 42)
+    assert threading.active_count() == 1
+    for failing, blamed in (({1, 2}, "job 1"), ({0, 7}, "job 0"),
+                            ({5, 6}, "job 5")):
+        def flaky(n_res, *args):
+            job = ((n_res - 2) * validation.MC_DRAWS
+                   + args[-1].rng_seed - mc.rng_seed)
+            if job in failing:
+                raise FloatingPointError(f"job {job}")
+            return oracle(n_res, *args)
+
+        monkeypatch.setattr(validation, "mc_oracle", flaky)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(optimizer, "_usable_cpus", lambda: workers)
+            with pytest.raises(FloatingPointError, match=f"^{blamed}$"):
+                run_validation(TRANSMON, ETA, mc)
+            # every forked worker has been waited for
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
