@@ -322,9 +322,11 @@ def _moment_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     4n+1) torus is exact; evenness in the durations folds (k, l) with
     (-k, -l), and evenness in theta folds +-m onto cosines alone."""
     shape = (4 * n + 1, 4 * n - 3, 4 * n + 1)
+    # sparse axes: each segment factor is computed on its own axes only
     a, b, theta = np.meshgrid(*(2.0 * np.pi * np.arange(m) / m for m in shape),
-                              indexing="ij")
-    c = np.fft.fftn(train_excitation(n, a, theta, b)) / a.size
+                              indexing="ij", sparse=True)
+    pop = np.broadcast_to(train_excitation(n, a, theta, b), shape)
+    c = np.fft.fftn(pop) / pop.size
     odd = np.max(np.abs(c - np.roll(np.flip(c, axis=(0, 1)), 1, axis=(0, 1)))) / 2
     if odd > FOLD_TOL:
         raise ArithmeticError(f"{n}-segment train population is not even in the "

@@ -196,7 +196,8 @@ def load_config(path: str) -> RunConfig:
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path, encoding="utf-8") as handle:
+        # utf-8-sig also reads a file that starts with a byte-order mark
+        with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

@@ -68,9 +68,6 @@ class EvalPoint:
 
     ``full_window`` tells whether its fine pass went on from the narrowed
     window to the whole fine grid (see :func:`spectroscopy.sweep_narrowed`).
-    The peak, width and shift of ``metrics`` are those of the full two-stage
-    sweep either way, but ``metrics.fringes`` lists only local maxima of the
-    samples evaluated: outside the narrowed span, those of the coarse pass.
     """
 
     s: float
@@ -82,9 +79,7 @@ class EvalPoint:
 
 @dataclass
 class OptimizationResult:
-    """The best point, the Pareto front and every point in grid order; the
-    fringes of their metrics cover only the samples evaluated (see
-    :class:`EvalPoint`)."""
+    """The best point, the Pareto front and every point in grid order."""
 
     best: EvalPoint
     pareto_front: list[EvalPoint]
@@ -249,8 +244,7 @@ def optimize(scheme: str, space: SearchSpace, transmon: TransmonParams,
              *, cw_amplitude: float = CW_AMPLITUDE_DEFAULT) -> OptimizationResult:
     """Exhaustively evaluate the (s, R) grid and pick the constrained best.
 
-    Every grid point runs the two-stage sweep, narrowed to the fine samples
-    that its metrics read (see :func:`spectroscopy.sweep_narrowed`), plus
+    Every grid point runs :func:`spectroscopy.sweep_narrowed`, plus
     metrics against a shared cw reference. The points, in s-major order,
     are shared out over every usable CPU in forked workers (see
     :func:`_evaluate_all`); the trace, the warnings and the error raised

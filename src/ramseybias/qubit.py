@@ -85,6 +85,9 @@ class DriveParams:
     def __post_init__(self):
         if not self.eta > 0:
             raise DomainError(f"coupling strength must be positive, got {self.eta}")
+        if not float(self.eta) * float(self.eta) < math.inf:
+            raise DomainError(f"coupling strength eta/2pi = {to_ghz(self.eta):g} GHz "
+                              "is too large: eta^2 overflows")
         omega = np.ravel(self.omega)
         bad = omega[~(omega > 0)]
         if bad.size:

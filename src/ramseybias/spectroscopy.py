@@ -286,48 +286,12 @@ def metrics(spec: Spectrum, reference: Spectrum | None = None) -> SpectrumMetric
     return SpectrumMetrics(peak_w, peak_v, right - left, shift, fringes)
 
 
-def _coarse_pass(scheme: str, transmon: TransmonParams, eta: float,
-                 omega_min: float, omega_max: float, coarse_step: float,
-                 refine_step: float, avg: AveragingParams | None,
-                 cw_amplitude: float = CW_AMPLITUDE_DEFAULT
-                 ) -> tuple[Spectrum, SpectrumMetrics, np.ndarray]:
-    """The coarse pass over the window, its metrics, and the fine grid of
-    the refinement: the coarse peak plus/minus twice the coarse width at
-    ``refine_step``, clipped to the window."""
-    coarse = sweep(scheme, transmon, eta,
-                   make_grid(omega_min, omega_max, coarse_step), avg,
-                   cw_amplitude=cw_amplitude)
-    m = metrics(coarse)
-    lo = max(omega_min, m.peak_omega - 2.0 * m.fwhm)
-    hi = min(omega_max, m.peak_omega + 2.0 * m.fwhm)
-    return coarse, m, make_grid(lo, hi, refine_step)
-
-
-def _merged(coarse: Spectrum, *fine: Spectrum) -> Spectrum:
+def _merged(coarse: Spectrum, fine: Spectrum) -> Spectrum:
     """One strictly increasing spectrum of the coarse and fine passes."""
     # the first of equal frequencies, so the coarse value, is kept
-    w, first = np.unique(np.concatenate([coarse.omega, *(f.omega for f in fine)]),
-                         return_index=True)
-    p = np.concatenate([coarse.p_e, *(f.p_e for f in fine)])[first]
+    w, first = np.unique(np.concatenate([coarse.omega, fine.omega]), return_index=True)
+    p = np.concatenate([coarse.p_e, fine.p_e])[first]
     return Spectrum(w, p, coarse.scheme_tag)
-
-
-def sweep_refined(scheme: str, transmon: TransmonParams, eta: float,
-                  omega_min: float, omega_max: float, coarse_step: float,
-                  refine_step: float, avg: AveragingParams | None = None, *,
-                  cw_amplitude: float = CW_AMPLITUDE_DEFAULT) -> Spectrum:
-    """Two-stage sweep: coarse pass, then a fine pass around the peak.
-
-    The coarse grid covers the full window; the fine grid spans the coarse
-    peak plus/minus twice the coarse width at ``refine_step`` (clipped to
-    the window), resolving shifts far below the coarse step. The merged,
-    strictly increasing spectrum is returned.
-    """
-    coarse, _, fine_grid = _coarse_pass(scheme, transmon, eta, omega_min,
-                                        omega_max, coarse_step, refine_step,
-                                        avg, cw_amplitude)
-    return _merged(coarse, sweep(scheme, transmon, eta, fine_grid, avg,
-                                 cw_amplitude=cw_amplitude))
 
 
 def _rise_rate(n_res: int, transmon: TransmonParams, eta: float,
@@ -385,33 +349,73 @@ def _narrowed_holds(spec: Spectrum, span: np.ndarray, coarse: Spectrum,
     return bool(np.all(skipped + rise + RANGE_TOL < p[i]))
 
 
-def sweep_narrowed(scheme: str, transmon: TransmonParams, eta: float,
-                   omega_min: float, omega_max: float, coarse_step: float,
-                   refine_step: float, avg: AveragingParams) -> tuple[Spectrum, bool]:
-    """The peak, peak value, width and shift of :func:`sweep_refined`, from
-    fewer fine samples; returns the spectrum and whether the whole fine
-    grid was averaged.
+def _two_stage(scheme: str, transmon: TransmonParams, eta: float,
+               omega_min: float, omega_max: float, coarse_step: float,
+               refine_step: float, avg: AveragingParams | None,
+               cw_amplitude: float, widths: float) -> tuple[Spectrum, bool]:
+    """:func:`sweep_refined`, whose fine pass first averages only the points
+    within ``widths`` coarse widths of the coarse peak; returns the spectrum
+    and whether the rest of the fine grid was averaged too."""
+    def fine(grid):
+        return sweep(scheme, transmon, eta, grid, avg, cw_amplitude=cw_amplitude)
 
-    The fine grid is averaged first by a :func:`sweep` of its points within
-    ``NARROW_WIDTHS`` coarse widths of the coarse peak, and that curve is
-    kept when metrics read the same samples from it as from the full curve
-    (see :func:`_narrowed_holds`). Otherwise a second sweep averages the
-    rest of the fine grid, which is merged in; that gives the spectrum of
-    :func:`sweep_refined` exactly, since a sweep is pointwise. Each pass
-    warns about, and raises for, only the frequencies it averages, so a
-    fallback warns once per fine pass. A kept curve has only coarse samples
-    outside the narrowed span, and so have the fringes that metrics list
-    there. For schemes other than "cw".
-    """
-    coarse, m, fine_grid = _coarse_pass(scheme, transmon, eta, omega_min,
-                                        omega_max, coarse_step, refine_step, avg)
-    near = np.abs(fine_grid - m.peak_omega) <= NARROW_WIDTHS * m.fwhm
+    coarse = fine(make_grid(omega_min, omega_max, coarse_step))
+    try:
+        m = metrics(coarse)
+    except MetricsError as exc:
+        # a command may measure two curves: name the one that failed
+        exc.args = (f"{scheme} curve: {exc}",)
+        raise
+    fine_grid = make_grid(max(omega_min, m.peak_omega - 2.0 * m.fwhm),
+                          min(omega_max, m.peak_omega + 2.0 * m.fwhm), refine_step)
+    near = np.abs(fine_grid - m.peak_omega) <= widths * m.fwhm
     span, rest = fine_grid[near], fine_grid[~near]
     if not span.size:
-        return _merged(coarse, sweep(scheme, transmon, eta, rest, avg)), True
-    spec = _merged(coarse, sweep(scheme, transmon, eta, span, avg))
-    rise = coarse_step * _rise_rate(parse_scheme(scheme), transmon, eta, avg,
-                                    fine_grid[0] - coarse_step, fine_grid[-1])
-    if not rest.size or _narrowed_holds(spec, span, coarse, rest, rise):
+        return _merged(coarse, fine(rest)), True
+    spec = _merged(coarse, fine(span))
+    if not rest.size or _narrowed_holds(
+            spec, span, coarse, rest, coarse_step * _rise_rate(
+                parse_scheme(scheme), transmon, eta, avg,
+                fine_grid[0] - coarse_step, fine_grid[-1])):
         return spec, False
-    return _merged(spec, sweep(scheme, transmon, eta, rest, avg)), True
+    return _merged(spec, fine(rest)), True
+
+
+def sweep_refined(scheme: str, transmon: TransmonParams, eta: float,
+                  omega_min: float, omega_max: float, coarse_step: float,
+                  refine_step: float, avg: AveragingParams | None = None, *,
+                  cw_amplitude: float = CW_AMPLITUDE_DEFAULT) -> Spectrum:
+    """Two-stage sweep: coarse pass, then a fine pass around the peak.
+
+    The coarse grid covers the full window; the fine grid spans the coarse
+    peak plus/minus twice the coarse width at ``refine_step`` (clipped to
+    the window), resolving shifts far below the coarse step. The merged,
+    strictly increasing spectrum is returned.
+    """
+    return _two_stage(scheme, transmon, eta, omega_min, omega_max, coarse_step,
+                      refine_step, avg, cw_amplitude, math.inf)[0]
+
+
+def sweep_narrowed(scheme: str, transmon: TransmonParams, eta: float,
+                   omega_min: float, omega_max: float, coarse_step: float,
+                   refine_step: float, avg: AveragingParams | None
+                   ) -> tuple[Spectrum, bool]:
+    """The peak, peak value, width and shift of :func:`sweep_refined`, from
+    fewer fine samples; returns the spectrum and whether the whole fine
+    grid was averaged after all.
+
+    A :func:`sweep` of the fine points within ``NARROW_WIDTHS`` coarse
+    widths of the coarse peak comes first, and that curve is kept when
+    metrics read the same samples from it as from the full curve (see
+    :func:`_narrowed_holds`). Otherwise a second sweep averages the rest of
+    the fine grid, which is merged in; since a sweep is pointwise, that is
+    the spectrum of :func:`sweep_refined` exactly. Each pass warns about,
+    and raises for, only the frequencies it averages. A "cw" line, which
+    :func:`_rise_rate` cannot bound, is never narrowed.
+
+    Fringes: outside the narrowed span a kept curve holds only coarse
+    samples, so the fringes that metrics list there are the coarse pass's.
+    """
+    return _two_stage(scheme, transmon, eta, omega_min, omega_max, coarse_step,
+                      refine_step, avg, CW_AMPLITUDE_DEFAULT,
+                      math.inf if parse_scheme(scheme) is None else NARROW_WIDTHS)

@@ -325,6 +325,10 @@ GRIDS = "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\n"
     ("baseline --out {out}/run.cfg", "out_dir = {out}", "out_dir = {out}/sub", 2,
      "--out: unusable output path"),
     ("spectrum", "eta_ghz = 0.1", "eta_ghz = 0", 2, "[drive] eta_ghz:"),
+    # eta^2 overflows a double; the coupling is refused before any sweep
+    *[(command, "eta_ghz = 0.1", "eta_ghz = 1e200", 3,
+       "coupling strength eta/2pi = 1e+200 GHz is too large")
+      for command in ("baseline", "spectrum", "optimize", "validate")],
     ("spectrum", "s = 0.68pi/3eta", "s = 0", 2, "[averaging] s:"),
     ("spectrum", "s = 0.68pi/3eta", "s = -1", 2, "[averaging] s:"),
     ("spectrum", "r = 0.001\n", "r = -1\n", 2, "[averaging] r:"),
@@ -391,6 +395,36 @@ def test_narrowed_window_merges_rows_that_print_alike(tmp_path, command, text):
                           cfg.omega_max, cfg.coarse_step, cfg.refine_step,
                           cw_amplitude=cfg.cw_amplitude)
     assert len(curves["cw"]) < len(swept)
+
+
+def test_config_with_a_byte_order_mark_runs_like_the_plain_one(tmp_path):
+    outputs = []
+    for name, prefix in (("plain.cfg", b""), ("bom.cfg", b"\xef\xbb\xbf")):
+        path = tmp_path / name
+        path.write_bytes(prefix + TEMPLATE.encode("utf-8"))
+        out = tmp_path / f"out_{name}"
+        assert main(["baseline", "--config", str(path), "--out", str(out)]) == 0
+        outputs.append([(out / f).read_bytes()
+                        for f in ("baseline.csv", "baseline_metrics.txt")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "optimize"])
+def test_a_metrics_error_names_the_curve(tmp_path, capsys, command):
+    # below 4.68 GHz the double line has both crossings (305.90 MHz), but
+    # the 400 MHz wide cw reference has no right one
+    text = (TEMPLATE.replace("max_ghz = 5.5", "max_ghz = 4.68")
+            .replace("k_values = 2.5, 3.0, 3.5", "k_values = 3.0")
+            .replace("r_values = logspace:0.0005,0.1,12", "r_values = 0.001"))
+    assert "max_ghz = 4.68" in text and "r_values = 0.001" in text
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert ("domain error: cw curve: no half-maximum crossing on the right side"
+            in capsys.readouterr().err)
+    unshifted = write_cfg(tmp_path, text.replace("baseline_shift = true",
+                                                 "baseline_shift = false"), "u.cfg")
+    assert main(["spectrum", "--config", unshifted, "--out", str(tmp_path)]) == 0
+    assert "fwhm 305.90 MHz" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("ratio, code", [("1e298", 3), ("1e297", 0)])

@@ -171,6 +171,9 @@ def test_malformed_file(tmp_path):
     path.write_bytes(b"[transmon]\nphi_res = 0.46\xff\n")
     with pytest.raises(ConfigError, match="cannot read config file .*utf-8"):
         load_config(str(path))
+    path.write_bytes(b"\xef\xbb\xbf[transmon]\nphi_res = 0.46\xff\n")
+    with pytest.raises(ConfigError, match="cannot read config file .*utf-8"):
+        load_config(str(path))
 
 
 def test_negative_mc_seed_rejected(tmp_path):

@@ -65,6 +65,10 @@ def test_invalid_drive_params():
         DriveParams(0.0, 1.0)
     with pytest.raises(DomainError):
         DriveParams(1.0, -2.0)
+    # eta^2 overflows a double from about 1.34e154 rad/s
+    with pytest.raises(DomainError, match="eta/2pi = 1e\\+200 GHz is too large"):
+        DriveParams(ghz(1e200), 1.0)
+    DriveParams(ghz(1e140), 1.0)
 
 
 def test_detuning_identities(transmon):

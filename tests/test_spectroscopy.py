@@ -417,6 +417,29 @@ def test_narrowed_window_holding_none_or_all_of_the_fine_grid(window, full):
     assert np.array_equal(spec.p_e, whole.p_e)
 
 
+def test_cw_line_is_never_narrowed():
+    # the rise bound has no cw form, so the whole fine grid is averaged in
+    # one pass, as by sweep_refined, and that is no fallback
+    spec, full = sweep_narrowed("cw", TRANSMON, ETA, *TEMPLATE_WINDOW, None)
+    whole = sweep_refined("cw", TRANSMON, ETA, *TEMPLATE_WINDOW)
+    assert full is False and spec.scheme_tag == "cw"
+    assert np.array_equal(spec.omega, whole.omega)
+    assert np.array_equal(spec.p_e, whole.p_e)
+
+
+@pytest.mark.parametrize("scheme", ["cw", "double"])
+def test_coarse_metrics_error_names_the_scheme(scheme):
+    # the 400 MHz wide cw line has no right crossing below 4.68 GHz, and the
+    # 306 MHz double line none below 4.52 GHz
+    window = (ghz(3.5), ghz(4.68) if scheme == "cw" else ghz(4.52), ghz(0.001),
+              ghz(0.0001))
+    with pytest.raises(NoCrossingError,
+                       match=f"^{scheme} curve: no half-maximum crossing on the "
+                             "right side$") as err:
+        sweep_refined(scheme, TRANSMON, ETA, *window, default_avg())
+    assert err.value.side == "right"
+
+
 def test_guard_falls_back_for_a_rise_between_coarse_samples(monkeypatch):
     # a tent between two coarse samples of a skipped region: they sit at 99 %
     # of the line's maximum, above the guard, and its tip at 102 % is the
