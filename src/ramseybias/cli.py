@@ -32,7 +32,7 @@ from .errors import ConfigError, DomainError, InfeasibleError, MetricsError
 from .optimizer import optimize
 from .spectroscopy import Spectrum, SpectrumMetrics, metrics, sweep_refined
 from .units import RAD_PER_GHZ, to_ghz, to_mhz, to_ns
-from .validation import run_validation
+from .validation import MC_MIN_SAMPLES, run_validation
 
 
 # the largest freed block that still raises glibc's mmap threshold is
@@ -205,6 +205,9 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_validate(cfg: RunConfig, out_dir: str) -> int:
+    if cfg.mc.n_samples < MC_MIN_SAMPLES:
+        raise ConfigError(f"[mc] n_samples: validate needs at least "
+                          f"{MC_MIN_SAMPLES} samples, got {cfg.mc.n_samples}")
     report = run_validation(cfg.transmon, cfg.eta, cfg.mc, cfg.avg)
     path = os.path.join(out_dir, "validation_report.txt")
     _atomic_write(path, report.render())

@@ -32,10 +32,6 @@ MAX_GRID_POINTS = 10**6
 # detection threshold for fringe listing, as a fraction of the peak value
 FRINGE_THRESHOLD = 0.01
 
-# half-width, in coarse widths, of the fine window that sweep_narrowed
-# evaluates first
-NARROW_WIDTHS = 0.75
-
 # mean duration tau/s of the Maxwell density 2 x^3 exp(-x^2): Gamma(5/2)
 MEAN_DURATION = 0.75 * math.sqrt(math.pi)
 
@@ -286,12 +282,20 @@ def metrics(spec: Spectrum, reference: Spectrum | None = None) -> SpectrumMetric
     return SpectrumMetrics(peak_w, peak_v, right - left, shift, fringes)
 
 
-def _merged(coarse: Spectrum, fine: Spectrum) -> Spectrum:
-    """One strictly increasing spectrum of the coarse and fine passes."""
-    # the first of equal frequencies, so the coarse value, is kept
-    w, first = np.unique(np.concatenate([coarse.omega, fine.omega]), return_index=True)
-    p = np.concatenate([coarse.p_e, fine.p_e])[first]
-    return Spectrum(w, p, coarse.scheme_tag)
+def _merged(first: Spectrum, second: Spectrum) -> Spectrum:
+    """One strictly increasing spectrum of two passes; of equal frequencies,
+    the first pass's sample is kept."""
+    at = np.searchsorted(first.omega, second.omega, side="right")
+    # at == 0 compares with the first pass's last frequency, which is larger
+    new = first.omega[at - 1] != second.omega
+    at = at[new]
+    at += np.arange(at.size)
+    old = np.ones(len(first) + at.size, dtype=bool)
+    old[at] = False
+    w, p = np.empty(old.size), np.empty(old.size)
+    w[at], p[at] = second.omega[new], second.p_e[new]
+    w[old], p[old] = first.omega, first.p_e
+    return Spectrum(w, p, first.scheme_tag)
 
 
 def _rise_rate(n_res: int, transmon: TransmonParams, eta: float,
@@ -317,45 +321,75 @@ def _rise_rate(n_res: int, transmon: TransmonParams, eta: float,
     return MEAN_DURATION * avg.s * (n_res + 2 * (n_res - 1) * avg.ratio_r * rate_d)
 
 
-def _narrowed_holds(spec: Spectrum, span: np.ndarray, coarse: Spectrum,
-                    rest: np.ndarray, rise: float) -> bool:
+def _first_at_or_above(x: np.ndarray, lo: float, step: float, n: int) -> np.ndarray:
+    """Index of the first point of the n-point grid ``lo + step * j`` of
+    :func:`make_grid` at or above each x; n past its end.
+
+    The quotient is off from the index by far less than one, so at most one
+    correction either way is needed.
+    """
+    j = np.ceil((x - lo) / step)
+    j -= lo + step * (j - 1.0) >= x
+    j += lo + step * j < x
+    return np.clip(j, 0, n).astype(np.intp)
+
+
+def _cell_points(lo: float, step: float, starts: np.ndarray,
+                 take: np.ndarray) -> np.ndarray:
+    """The points ``lo + step * j`` of the cells marked in ``take``, where
+    cell q holds those with starts[q] <= j < starts[q + 1]."""
+    edges = starts[np.flatnonzero(np.diff(take, prepend=False, append=False))]
+    return lo + step * np.concatenate([np.arange(a, b) for a, b in edges.reshape(-1, 2)]
+                                      or [np.arange(0)])
+
+
+def _certified(spec: Spectrum, coarse: Spectrum, skipped: np.ndarray,
+               rise: float) -> bool:
     """Whether ``metrics(spec)`` equals that of the curve which also holds
-    the fine samples at ``rest``, all of them outside ``span``.
+    the fine samples of the coarse cells marked in ``skipped``.
 
-    Between the ends of ``span`` both curves hold the same samples. So
-    metrics read the same samples from both when the outer samples of both
-    half-maximum brackets (and so the maximal sample) lie strictly between
-    those ends, and no sample at ``rest`` reaches the maximal one, p_max.
+    Cell q runs from coarse sample q to sample q + 1, and ``spec`` holds
+    every coarse sample. Over a cell the curve moves by at most ``rise``
+    (see :func:`_rise_rate`), so a skipped sample lies within
+    [L_q, U_q] = (p_q + p_{q+1} -+ rise) / 2. Metrics read the maximal
+    sample with its two neighbours, and the outer and inner sample of each
+    half-maximum bracket. Both curves give the same five samples when:
 
-    That last check is the guard. Each x at ``rest`` lies less than a coarse
-    step above the coarse sample at or below it, and over a coarse step the
-    curve rises by at most ``rise`` (see :func:`_rise_rate`). So those
-    coarse samples must stay below the fraction 1 - rise / p_max of the
-    maximal sample, less a margin of RANGE_TOL for the error of computed
+    1. every skipped cell has U_q below the maximal sample;
+    2. every skipped cell between the two outer bracket samples has L_q
+       above the half level, so no skipped sample ends a bracket sooner;
+    3. no skipped cell lies between the maximal sample and a neighbour, or
+       between the two samples of a bracket.
+
+    Each comparison keeps a margin of RANGE_TOL for the error of computed
     values.
     """
     w, p = spec.omega, spec.p_e
     try:
         i, _, peak_v = _peak(spec)
-        left, right = (_bracket(p, i, peak_v / 2.0, side)[0]
-                       for side in ("left", "right"))
+        (k_l, _), (k_r, j_r) = (_bracket(p, i, peak_v / 2.0, side)
+                                for side in ("left", "right"))
     except MetricsError:
         return False
-    if not (span[0] < w[left] and w[right] < span[-1]):
-        return False
-    a, b, c, d = np.searchsorted(coarse.omega, [rest[0], span[0], span[-1], rest[-1]],
-                                 side="right")
-    skipped = np.concatenate([coarse.p_e[a - 1:b], coarse.p_e[c - 1:d]])
-    return bool(np.all(skipped + rise + RANGE_TOL < p[i]))
+    mid = coarse.p_e[:-1] + coarse.p_e[1:]
+    # the cells of the five samples; one at or past the last coarse sample
+    # lies in none
+    cell = np.searchsorted(coarse.omega, w[[i - 1, i, k_l, j_r, k_r]], side="right") - 1
+    a, b = cell[2], cell[4]
+    return bool((mid.max(initial=-np.inf, where=skipped) + rise) / 2.0 + RANGE_TOL < p[i]
+                and ((mid[a:b].min(initial=np.inf, where=skipped[a:b]) - rise) / 2.0
+                     - RANGE_TOL > peak_v / 2.0)
+                and not skipped[cell[cell < skipped.size]].any())
 
 
 def _two_stage(scheme: str, transmon: TransmonParams, eta: float,
                omega_min: float, omega_max: float, coarse_step: float,
                refine_step: float, avg: AveragingParams | None,
-               cw_amplitude: float, widths: float) -> tuple[Spectrum, bool]:
-    """:func:`sweep_refined`, whose fine pass first averages only the points
-    within ``widths`` coarse widths of the coarse peak; returns the spectrum
-    and whether the rest of the fine grid was averaged too."""
+               cw_amplitude: float, narrow: bool) -> tuple[Spectrum, bool]:
+    """:func:`sweep_refined`; with ``narrow``, the fine pass first averages
+    only the coarse cells that may hold the samples metrics read. Returns
+    the spectrum and whether the narrowed pass fell back to the whole fine
+    grid."""
     def fine(grid):
         return sweep(scheme, transmon, eta, grid, avg, cw_amplitude=cw_amplitude)
 
@@ -366,18 +400,37 @@ def _two_stage(scheme: str, transmon: TransmonParams, eta: float,
         # a command may measure two curves: name the one that failed
         exc.args = (f"{scheme} curve: {exc}",)
         raise
-    fine_grid = make_grid(max(omega_min, m.peak_omega - 2.0 * m.fwhm),
-                          min(omega_max, m.peak_omega + 2.0 * m.fwhm), refine_step)
-    near = np.abs(fine_grid - m.peak_omega) <= widths * m.fwhm
-    span, rest = fine_grid[near], fine_grid[~near]
-    if not span.size:
-        return _merged(coarse, fine(rest)), True
-    spec = _merged(coarse, fine(span))
-    if not rest.size or _narrowed_holds(
-            spec, span, coarse, rest, coarse_step * _rise_rate(
-                parse_scheme(scheme), transmon, eta, avg,
-                fine_grid[0] - coarse_step, fine_grid[-1])):
+    lo = max(omega_min, m.peak_omega - 2.0 * m.fwhm)
+    hi = min(omega_max, m.peak_omega + 2.0 * m.fwhm)
+    if not narrow:
+        return _merged(coarse, fine(make_grid(lo, hi, refine_step))), False
+    # cell q, from coarse sample q to q + 1, holds the fine points j with
+    # starts[q] <= j < starts[q + 1]; the last cell, those past the last
+    # coarse sample, is always averaged
+    c, pc = coarse.omega, coarse.p_e
+    n_fine = grid_points(lo, hi, refine_step)
+    starts = np.append(_first_at_or_above(c, lo, refine_step, n_fine), n_fine)
+    holds = starts[1:-1] > starts[:-2]
+    first, last = np.flatnonzero(holds)[[0, -1]] + (0, 1)
+    rise = coarse_step * _rise_rate(parse_scheme(scheme), transmon, eta, avg,
+                                    c[first], c[last])
+    if not (rise < math.inf and np.all(np.abs(np.diff(pc[first:last + 1])) <= rise)):
+        # no bound holds over the fine grid, or a coarse step breaks it
+        return _merged(coarse, fine(make_grid(lo, hi, refine_step))), True
+    # the cells that may hold the maximum, or the half level for a peak
+    # between the coarse maximum and the largest bound
+    mid = pc[:-1] + pc[1:]
+    upper = (mid + rise) / 2.0 + RANGE_TOL
+    lower = (mid - rise) / 2.0 - RANGE_TOL
+    top = pc.max()
+    skipped = ~((upper >= top) | ((upper >= top / 2.0)
+                                  & (lower <= upper[first:last].max() / 2.0)))
+    skipped &= holds
+    kept = _cell_points(lo, refine_step, starts, np.append(~skipped, True))
+    spec = _merged(coarse, fine(kept)) if kept.size else coarse
+    if not skipped.any() or _certified(spec, coarse, skipped, rise):
         return spec, False
+    rest = _cell_points(lo, refine_step, starts, np.append(skipped, False))
     return _merged(spec, fine(rest)), True
 
 
@@ -393,7 +446,7 @@ def sweep_refined(scheme: str, transmon: TransmonParams, eta: float,
     strictly increasing spectrum is returned.
     """
     return _two_stage(scheme, transmon, eta, omega_min, omega_max, coarse_step,
-                      refine_step, avg, cw_amplitude, math.inf)[0]
+                      refine_step, avg, cw_amplitude, False)[0]
 
 
 def sweep_narrowed(scheme: str, transmon: TransmonParams, eta: float,
@@ -404,18 +457,22 @@ def sweep_narrowed(scheme: str, transmon: TransmonParams, eta: float,
     fewer fine samples; returns the spectrum and whether the whole fine
     grid was averaged after all.
 
-    A :func:`sweep` of the fine points within ``NARROW_WIDTHS`` coarse
-    widths of the coarse peak comes first, and that curve is kept when
-    metrics read the same samples from it as from the full curve (see
-    :func:`_narrowed_holds`). Otherwise a second sweep averages the rest of
-    the fine grid, which is merged in; since a sweep is pointwise, that is
-    the spectrum of :func:`sweep_refined` exactly. Each pass warns about,
-    and raises for, only the frequencies it averages. A "cw" line, which
+    The fine grid is split into coarse cells, and over each cell the rise
+    bound of :func:`_rise_rate` brackets every fine sample between the
+    cell's two coarse samples. One :func:`sweep` averages the cells whose
+    bracket reaches the coarse maximum or may meet the half level, and the
+    fine samples past the last coarse sample. That curve is kept when
+    :func:`_certified` shows that metrics read the same samples from it as
+    from the full curve. Otherwise, or when no finite bound holds over the
+    fine grid or a coarse step breaks it, the whole fine grid is averaged,
+    and since a sweep is pointwise that is the spectrum of
+    :func:`sweep_refined` exactly. Each pass warns about, and raises for,
+    only the frequencies it averages. A "cw" line, which
     :func:`_rise_rate` cannot bound, is never narrowed.
 
-    Fringes: outside the narrowed span a kept curve holds only coarse
-    samples, so the fringes that metrics list there are the coarse pass's.
+    Fringes: a kept curve holds only coarse samples in its skipped cells,
+    so the fringes that metrics list there are the coarse pass's.
     """
     return _two_stage(scheme, transmon, eta, omega_min, omega_max, coarse_step,
                       refine_step, avg, CW_AMPLITUDE_DEFAULT,
-                      math.inf if parse_scheme(scheme) is None else NARROW_WIDTHS)
+                      parse_scheme(scheme) is not None)

@@ -29,6 +29,14 @@ from .units import to_ghz
 # Monte Carlo draws of (omega, s, R) per averaged-curve check
 MC_DRAWS = 5
 
+# fewest samples per draw at which a Monte Carlo standard error is worth a
+# 3-sigma check: one sample has none, and at n samples the estimate itself
+# is off by about 1/sqrt(2n), 7 % at this floor
+MC_MIN_SAMPLES = 100
+
+# lowest probe frequency of a Monte Carlo draw, as a fraction of the line's
+MC_OMEGA_FLOOR = 0.05
+
 
 @dataclass
 class CheckResult:
@@ -122,9 +130,11 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig,
 
     # the averages every curve comes from vs the Monte Carlo oracle: every
     # block's (omega, s, R) is drawn here in order, then the blocks run on
-    # every usable CPU
+    # every usable CPU. Omega lies within 2 eta of the line, and above 5 % of
+    # its frequency, which 2 eta reaches for a wide coupling
     blocks = (("double_avg_vs_monte_carlo", 2), ("triple_avg_vs_monte_carlo", 3))
-    jobs = [(n_res, rng.uniform(w_res - 2.0 * eta, w_res + 2.0 * eta),
+    w_low = max(w_res - 2.0 * eta, MC_OMEGA_FLOOR * w_res)
+    jobs = [(n_res, rng.uniform(w_low, w_res + 2.0 * eta),
              AveragingParams(avg.s * rng.uniform(0.5, 2.0),
                              float(rng.uniform(0.0, 0.05))),
              McConfig(mc.n_samples, mc.rng_seed + draw))

@@ -168,13 +168,20 @@ def test_optimize_single_point(tmp_path):
     assert float(summary["best_r"]) == 0.001
 
 
+@pytest.mark.filterwarnings("ignore:.* of the dispersive-bias splitting")
 def test_optimize_reports_the_full_window_points(tmp_path, capsys):
-    text = (FAST_CFG + "\n[optimizer]\nk_values = 2.0, 3.0\n"
-            "r_values = 0.001, 0.0516\np_min = 0.0\n")
+    # with the dispersive splitting at 3.84 GHz inside a 3.5 to 5.5 GHz
+    # window, the fine grids of both k = 2.5 points reach past it, where no
+    # rise bound holds
+    text = (FAST_CFG.replace("phi_disp = 0.49", "phi_disp = 0.47")
+            .replace("min_ghz = 4.0", "min_ghz = 3.5")
+            .replace("max_ghz = 5.0", "max_ghz = 5.5")
+            + "\n[optimizer]\nk_values = 2.5, 3.0\n"
+            "r_values = 0.001, 0.01\np_min = 0.0\n")
     assert main(["optimize", "--config", write_cfg(tmp_path, text),
                  "--out", str(tmp_path / "out")]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[-1] == "fine pass: 1 of 4 points used the full window"
+    assert out[-1] == "fine pass: 2 of 4 points used the full window"
 
 
 def test_optimize_requires_grids(tmp_path):
@@ -268,6 +275,31 @@ def test_validate_keeps_its_probe_frequencies_positive(tmp_path):
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
     report = read_report(out / "validation_report.txt")
     assert report["overall"] == "pass"
+
+
+@pytest.mark.filterwarnings("ignore:.* of the dispersive-bias splitting")
+def test_validate_passes_for_a_coupling_wider_than_half_the_line(tmp_path):
+    # at 3 GHz, w_res - 2 eta lies below zero: the Monte Carlo draws are cut
+    # at 5 % of the 4.51 GHz line instead
+    cfg = write_cfg(tmp_path, FAST_CFG.replace("eta_ghz = 0.1", "eta_ghz = 3"))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    assert read_report(out / "validation_report.txt")["overall"] == "pass"
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 99])
+def test_validate_refuses_too_few_samples(tmp_path, capsys, n_samples):
+    # a standard error from one or two samples makes the 3-sigma check fail
+    # for certain; the oracle itself still takes them
+    cfg = write_cfg(tmp_path, FAST_CFG.replace("n_samples = 20000",
+                                               f"n_samples = {n_samples}"))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: [mc] n_samples: validate needs at least 100 samples, "
+        f"got {n_samples}\n")
+    assert not (out / "validation_report.txt").exists()
+    assert load_config(cfg).mc.n_samples == n_samples
 
 
 def test_exit_2_on_negative_seed(tmp_path, capsys):

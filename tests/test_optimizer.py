@@ -218,41 +218,45 @@ def test_optimize_raises_the_first_failing_point_in_grid_order(
     assert blamed in raised[0][1] and "is not finite" in raised[0][1]
 
 
+# the dispersive splitting at 3.84 GHz lies inside the sweep window
+CLOSE = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.47)
+
+
 @pytest.mark.parametrize("action", ["always", "default"])
 def test_optimize_reissues_the_warnings_of_a_serial_run(monkeypatch, action):
-    # the dispersive splitting at 3.84 GHz lies inside the sweep window:
     # every coarse pass warns alike, so the "default" action shows it once,
-    # and each fine pass warns with its own count. Two points fall back, so
-    # both of their fine passes warn
-    transmon = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.47)
+    # and each fine pass warns with its own count. At k = 2.5 the fine grid
+    # reaches past the splitting, where no rise bound holds, so both of its
+    # points average the whole fine grid
     space = SearchSpace(tuple(seed_points(ETA, [2.5, 3.0, 3.5])), (0.001, 0.01))
     runs = []
     for workers in (1, 2):
         forking(monkeypatch, workers)
         with deadline(120), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action)
-            result = optimize("double", space, transmon, ETA, **WINDOW)
+            result = optimize("double", space, CLOSE, ETA, **WINDOW)
         runs.append(([(w.category, str(w.message), w.filename, w.lineno)
                       for w in caught], result.trace))
     assert runs[0] == runs[1]
     messages = [text for _, text, _, _ in runs[0][0]]
     assert all("of the dispersive-bias splitting" in text for text in messages)
-    assert [pt.full_window for pt in runs[0][1]].count(True) == 2
-    assert len(messages) == (14 if action == "always" else 9)
+    assert [pt.full_window for pt in runs[0][1]] == [True, True] + [False] * 4
+    assert len(messages) == (12 if action == "always" else 7)
 
 
+@pytest.mark.filterwarnings("ignore:.* of the dispersive-bias splitting")
 def test_full_window_points_come_back_from_the_workers(monkeypatch):
-    # at k = 2, R = 0.0516 the double line is split: a coarse sample of a
-    # skipped region is within 1 % of the peak, so the guard takes the whole
-    # fine grid
-    space = SearchSpace(tuple(seed_points(ETA, [2.0, 3.0])), (0.001, 0.0516))
+    # the k = 2.5 points average the whole fine grid (see above): the first
+    # is this process's, the second a forked worker's
+    space = SearchSpace(tuple(seed_points(ETA, [2.5, 3.0])), (0.001, 0.01))
     traces = []
     for workers in (1, 2):
         forking(monkeypatch, workers)
         with deadline(120):
-            traces.append(run(space, objective=ObjectiveConfig(p_min=0.0)).trace)
+            traces.append(optimize("double", space, CLOSE, ETA,
+                                   objective=ObjectiveConfig(p_min=0.0), **WINDOW).trace)
     assert traces[0] == traces[1]
-    assert [pt.full_window for pt in traces[0]] == [False, True, False, False]
+    assert [pt.full_window for pt in traces[0]] == [True, True, False, False]
 
 
 def test_optimize_leaves_no_child_process(monkeypatch):

@@ -25,8 +25,8 @@ W_RES = omega_eg(TRANSMON, TRANSMON.phi_res)
 S3 = 0.68 * math.pi / (3.0 * ETA)
 
 
-def default_avg(s=S3, r=0.001):
-    return AveragingParams(s, r)
+def default_avg(s=S3, r=0.001, k=None):
+    return AveragingParams(s if k is None else 0.68 * math.pi / (k * ETA), r)
 
 
 # ---------------------------------------------------------------- grids
@@ -318,12 +318,17 @@ def printed_metrics(m):
     return m.peak_omega, m.peak_value, m.fwhm, m.shift_vs_ref
 
 
+def assert_same_spectrum(spec, whole):
+    assert np.array_equal(spec.omega, whole.omega)
+    assert np.array_equal(spec.p_e, whole.p_e)
+
+
 @pytest.mark.parametrize("scheme", ["double", "triple", "general:4"])
 def test_narrowed_sweep_gives_the_metrics_of_the_full_sweep(scheme):
-    # k = 3, R = 0.0469 is the triple point where the half-maximum bracket
-    # leaves the narrowed window, so it needs the whole fine grid
+    # k = 3, R = 0.0469 is the triple point whose half-maximum bracket left
+    # the fixed window of earlier designs; no point here needs a fallback,
+    # which the close-splitting cases below force
     cw = sweep_refined("cw", TRANSMON, ETA, *TEMPLATE_WINDOW)
-    full_window = set()
     for k in (1.5, 2.0, 3.0, 4.5):
         for r in (0.0005, 0.0469, 0.1):
             avg = AveragingParams(0.68 * math.pi / (k * ETA), r)
@@ -331,90 +336,149 @@ def test_narrowed_sweep_gives_the_metrics_of_the_full_sweep(scheme):
             whole = sweep_refined(scheme, TRANSMON, ETA, *TEMPLATE_WINDOW, avg)
             assert (printed_metrics(metrics(spec, reference=cw))
                     == printed_metrics(metrics(whole, reference=cw))), (k, r)
-            if full:
-                full_window.add((k, r))
-                assert np.array_equal(spec.omega, whole.omega)
-                assert np.array_equal(spec.p_e, whole.p_e)
-            else:
-                assert len(spec) < len(whole)
-    if scheme == "triple":
-        assert (3.0, 0.0469) in full_window
-    assert len(full_window) <= 2
+            assert not full and len(spec) < len(whole)
 
 
-def passes(scheme, avg):
-    """The coarse grid of a template-window sweep, its fine grid, and the
-    narrowed span of that fine grid."""
+def passes(scheme, avg, transmon=TRANSMON):
+    """The coarse grid and the fine grid of a template-window sweep."""
     omega_min, omega_max, coarse_step, refine_step = TEMPLATE_WINDOW
     coarse_grid = make_grid(omega_min, omega_max, coarse_step)
-    m = metrics(sweep(scheme, TRANSMON, ETA, coarse_grid, avg))
+    m = metrics(sweep(scheme, transmon, ETA, coarse_grid, avg))
     fine_grid = make_grid(max(omega_min, m.peak_omega - 2 * m.fwhm),
                           min(omega_max, m.peak_omega + 2 * m.fwhm), refine_step)
-    span = fine_grid[np.abs(fine_grid - m.peak_omega)
-                     <= spectroscopy.NARROW_WIDTHS * m.fwhm]
-    return coarse_grid, fine_grid, span
+    return coarse_grid, fine_grid
 
 
-# k = 3, R = 0.0469 is the triple point that needs the whole fine grid
-FALLBACK = ("triple", AveragingParams(0.68 * math.pi / (3.0 * ETA), 0.0469))
+# with the dispersive splitting at 3.84 GHz, the fine grid of the k = 2,
+# R = 0.001 double line reaches past it, and no rise bound holds there
+CLOSE = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.47)
+FALLBACK = ("double", AveragingParams(0.68 * math.pi / (2.0 * ETA), 0.001))
 
 
-def test_fallback_averages_each_fine_point_once(monkeypatch):
-    coarse_grid, fine_grid, _ = passes(*FALLBACK)
+def recorded_grids(monkeypatch, name):
+    """The grids passed to ``spectroscopy.<name>`` from now on."""
     grids = []
-    plain = spectroscopy.sweep
+    plain = getattr(spectroscopy, name)
 
-    def recording(scheme, transmon, eta, grid, *args, **kwargs):
-        grids.append(grid)
-        return plain(scheme, transmon, eta, grid, *args, **kwargs)
+    def recording(*args, **kwargs):
+        grids.append(args[2] if name == "_grid_quantities" else args[3])
+        return plain(*args, **kwargs)
 
-    monkeypatch.setattr(spectroscopy, "sweep", recording)
-    assert sweep_narrowed(FALLBACK[0], TRANSMON, ETA, *TEMPLATE_WINDOW,
-                          FALLBACK[1])[1]
-    # the coarse pass, the narrowed window, then the rest of the fine grid
-    assert len(grids) == 3 and np.array_equal(grids[0], coarse_grid)
+    monkeypatch.setattr(spectroscopy, name, recording)
+    return grids
+
+
+@pytest.mark.filterwarnings("ignore:.* of the dispersive-bias splitting")
+def test_fallback_averages_each_fine_point_once(monkeypatch):
+    scheme, avg = FALLBACK
+    coarse_grid, fine_grid = passes(scheme, avg, CLOSE)
+    grids = recorded_grids(monkeypatch, "sweep")
+    spec, full = sweep_narrowed(scheme, CLOSE, ETA, *TEMPLATE_WINDOW, avg)
+    # no bound: the coarse pass, then the whole fine grid at once
+    assert full and len(grids) == 2
+    assert np.array_equal(grids[0], coarse_grid)
+    assert np.array_equal(grids[1], fine_grid)
+    assert_same_spectrum(spec, sweep_refined(scheme, CLOSE, ETA, *TEMPLATE_WINDOW, avg))
+
+    # a refused certificate: the coarse pass, the kept cells, then the rest
+    grids.clear()
+    monkeypatch.setattr(spectroscopy, "_certified", lambda *args: False)
+    avg = default_avg()
+    coarse_grid, fine_grid = passes("double", avg)
+    spec, full = sweep_narrowed("double", TRANSMON, ETA, *TEMPLATE_WINDOW, avg)
+    assert full and len(grids) == 3 and np.array_equal(grids[0], coarse_grid)
     assert fine_grid[0] < grids[1][0] and grids[1][-1] < fine_grid[-1]
     evaluated = np.concatenate(grids[1:])
     assert np.unique(evaluated).size == evaluated.size == fine_grid.size
     assert np.array_equal(np.sort(evaluated), fine_grid)
+    assert_same_spectrum(spec, sweep_refined("double", TRANSMON, ETA,
+                                             *TEMPLATE_WINDOW, avg))
 
 
-@pytest.mark.parametrize("scheme, avg, full", [
-    ("double", default_avg(), False), (*FALLBACK, True)], ids=["kept", "fallback"])
-def test_quantities_cover_only_the_averaged_frequencies(monkeypatch, scheme,
-                                                        avg, full):
+@pytest.mark.filterwarnings("ignore:.* of the dispersive-bias splitting")
+@pytest.mark.parametrize("transmon, scheme, avg, full", [
+    (TRANSMON, "double", default_avg(), False), (CLOSE, *FALLBACK, True)],
+    ids=["kept", "fallback"])
+def test_quantities_cover_only_the_averaged_frequencies(monkeypatch, transmon,
+                                                        scheme, avg, full):
     # so the 10 eta warning and the dispersive DomainError name only them
-    coarse_grid, fine_grid, span = passes(scheme, avg)
-    grids = []
-    plain = spectroscopy._grid_quantities
-
-    def recording(transmon, eta, grid):
-        grids.append(grid)
-        return plain(transmon, eta, grid)
-
-    monkeypatch.setattr(spectroscopy, "_grid_quantities", recording)
-    assert sweep_narrowed(scheme, TRANSMON, ETA, *TEMPLATE_WINDOW, avg)[1] == full
-    # the coarse pass, the narrowed span, then on fallback the rest
-    assert len(grids) == (3 if full else 2)
+    coarse_grid, fine_grid = passes(scheme, avg, transmon)
+    grids = recorded_grids(monkeypatch, "_grid_quantities")
+    assert sweep_narrowed(scheme, transmon, ETA, *TEMPLATE_WINDOW, avg)[1] == full
+    # the coarse pass, then the kept cells or, without a bound, every cell
+    assert len(grids) == 2
     assert np.array_equal(grids[0], coarse_grid)
-    assert np.array_equal(grids[1], span) and span.size < fine_grid.size
-    fine = np.concatenate(grids[1:])
-    assert np.unique(fine).size == fine.size
-    assert np.array_equal(np.sort(fine), fine_grid if full else span)
+    if full:
+        assert np.array_equal(grids[1], fine_grid)
+    else:
+        # some 600 of the 12,500 fine points
+        assert np.all(np.isin(grids[1], fine_grid)) and grids[1].size < fine_grid.size / 10
+        assert np.all(np.diff(grids[1]) > 0)
 
 
-@pytest.mark.parametrize("window, full", [
-    # a refine step wider than the narrowed window leaves it no fine point
-    ((ghz(3.5), ghz(5.5), ghz(0.001), ghz(1.0)), True),
-    # a sweep window inside the narrowed window leaves nothing to skip
-    ((ghz(4.3), ghz(4.7), ghz(0.001), ghz(0.0001)), False),
-])
-def test_narrowed_window_holding_none_or_all_of_the_fine_grid(window, full):
-    spec, used_full = sweep_narrowed("double", TRANSMON, ETA, *window, default_avg())
-    whole = sweep_refined("double", TRANSMON, ETA, *window, default_avg())
+@pytest.mark.filterwarnings("ignore:.* of the dispersive-bias splitting")
+@pytest.mark.parametrize("transmon, window, full", [
+    # the fine grid reaches past the dispersive splitting: every fine point
+    (CLOSE, TEMPLATE_WINDOW, True),
+    # a refine step wider than a coarse cell: no fine point at all
+    (TRANSMON, (ghz(3.5), ghz(5.5), ghz(0.001), ghz(1.0)), False),
+], ids=["window0-True", "window1-False"])
+def test_narrowed_window_holding_none_or_all_of_the_fine_grid(transmon, window, full):
+    spec, used_full = sweep_narrowed("double", transmon, ETA, *window, default_avg(k=2.0))
+    whole = sweep_refined("double", transmon, ETA, *window, default_avg(k=2.0))
     assert used_full == full
-    assert np.array_equal(spec.omega, whole.omega)
-    assert np.array_equal(spec.p_e, whole.p_e)
+    if full:
+        assert_same_spectrum(spec, whole)
+    else:
+        assert np.array_equal(spec.omega, make_grid(*window[:3]))
+        assert printed_metrics(metrics(spec)) == printed_metrics(metrics(whole))
+
+
+CW_LINES = {}
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(scheme=st.sampled_from(["double", "triple", "general:4"]),
+       k=st.floats(1.5, 4.5), log_r=st.floats(math.log(5e-4), math.log(0.1)),
+       case=st.sampled_from(["bound", "no bound", "small bound"]))
+def test_sparse_pass_prints_the_metrics_of_the_full_sweep(scheme, k, log_r, case):
+    # "no bound" puts the dispersive splitting near the line, where the rise
+    # bound is infinite over every fine grid that reaches it; "small bound"
+    # shrinks the bound below the curve's own slope, so the coarse steps
+    # break it. Either way the whole fine grid must be averaged
+    transmon = CLOSE if case == "no bound" else TRANSMON
+    avg = AveragingParams(0.68 * math.pi / (k * ETA), math.exp(log_r))
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+        warnings.filterwarnings("ignore", ".* of the dispersive-bias splitting",
+                                UserWarning)
+        if transmon not in CW_LINES:
+            CW_LINES[transmon] = sweep_refined("cw", transmon, ETA, *TEMPLATE_WINDOW)
+        cw = CW_LINES[transmon]
+        whole = sweep_refined(scheme, transmon, ETA, *TEMPLATE_WINDOW, avg)
+        if case == "small bound":
+            rate = spectroscopy._rise_rate
+            patch.setattr(spectroscopy, "_rise_rate", lambda *args: 1e-3 * rate(*args))
+        spec, full = sweep_narrowed(scheme, transmon, ETA, *TEMPLATE_WINDOW, avg)
+        fine_grid = passes(scheme, avg, transmon)[1]
+    assert (printed_metrics(metrics(spec, reference=cw))
+            == printed_metrics(metrics(whole, reference=cw)))
+    split = omega_eg(transmon, transmon.phi_disp)
+    if case == "small bound" or fine_grid[0] <= split <= fine_grid[-1]:
+        assert full
+    if full:
+        assert_same_spectrum(spec, whole)
+    else:
+        assert len(spec) < len(whole)
+
+
+def test_sweep_window_inside_the_fine_window_gives_the_metrics_of_the_full_sweep():
+    # the fine grid is the whole 4.3 to 4.7 GHz window, and still only the
+    # cells that metrics read are averaged
+    window = (ghz(4.3), ghz(4.7), ghz(0.001), ghz(0.0001))
+    spec, full = sweep_narrowed("double", TRANSMON, ETA, *window, default_avg())
+    whole = sweep_refined("double", TRANSMON, ETA, *window, default_avg())
+    assert not full and len(spec) < len(whole) / 4
+    assert printed_metrics(metrics(spec)) == printed_metrics(metrics(whole))
 
 
 def test_cw_line_is_never_narrowed():
@@ -423,8 +487,7 @@ def test_cw_line_is_never_narrowed():
     spec, full = sweep_narrowed("cw", TRANSMON, ETA, *TEMPLATE_WINDOW, None)
     whole = sweep_refined("cw", TRANSMON, ETA, *TEMPLATE_WINDOW)
     assert full is False and spec.scheme_tag == "cw"
-    assert np.array_equal(spec.omega, whole.omega)
-    assert np.array_equal(spec.p_e, whole.p_e)
+    assert_same_spectrum(spec, whole)
 
 
 @pytest.mark.parametrize("scheme", ["cw", "double"])
@@ -442,8 +505,9 @@ def test_coarse_metrics_error_names_the_scheme(scheme):
 
 def test_guard_falls_back_for_a_rise_between_coarse_samples(monkeypatch):
     # a tent between two coarse samples of a skipped region: they sit at 99 %
-    # of the line's maximum, above the guard, and its tip at 102 % is the
-    # maximum of the full fine pass, which the narrowed window never sees
+    # of the line's maximum, and its tip at 102 % is the maximum of the full
+    # fine pass. Its sides are steeper than the rise bound, so the coarse
+    # steps around it break the bound and the whole fine grid is averaged
     omega_min, omega_max, coarse_step, refine_step = TEMPLATE_WINDOW
     avg = default_avg()
     line = sweep_refined("double", TRANSMON, ETA, *TEMPLATE_WINDOW, avg)
@@ -463,35 +527,84 @@ def test_guard_falls_back_for_a_rise_between_coarse_samples(monkeypatch):
     spec, full = sweep_narrowed("double", TRANSMON, ETA, *TEMPLATE_WINDOW, avg)
     whole = sweep_refined("double", TRANSMON, ETA, *TEMPLATE_WINDOW, avg)
     assert full
-    assert np.array_equal(spec.omega, whole.omega)
-    assert np.array_equal(spec.p_e, whole.p_e)
+    assert_same_spectrum(spec, whole)
     assert abs(metrics(whole).peak_omega - tip) < refine_step
 
 
-def guard_inputs(fine, coarse_p):
-    """The guard's narrowed curve, span, coarse pass and rest of the fine
-    grid, for coarse samples ``coarse_p`` at 0, 1, ..., 10 and a fine grid
-    at 0.1 steps over [3, 7] with values ``fine(w)``; [4, 6] is the span."""
+def guard_inputs(fine, coarse_p, averaged):
+    """A curve of coarse samples ``coarse_p`` at 0, 1, ..., 10 and of fine
+    samples ``fine(w)`` at 0.1 steps in the coarse cells listed in
+    ``averaged``, and the mask of the other cells, whose fine samples over
+    [2, 8] it skips."""
     coarse = Spectrum(np.arange(11.0), coarse_p, "x")
-    fine_grid = np.arange(30, 71) / 10
-    near = np.abs(fine_grid - 5.0) <= 1.0
-    span = fine_grid[near]
-    spec = spectroscopy._merged(coarse, Spectrum(span, fine(span), "x"))
-    return spec, span, coarse, fine_grid[~near]
+    fine_grid = np.arange(20, 81) / 10
+    held = np.isin(np.floor(fine_grid), averaged)
+    spec = spectroscopy._merged(coarse, Spectrum(fine_grid[held], fine(fine_grid[held]), "x"))
+    skipped = np.zeros(10, dtype=bool)
+    skipped[2:8] = ~np.isin(np.arange(2, 8), averaged)
+    return spec, coarse, skipped
 
 
 def narrow_line(w):
     return 0.5 / (1.0 + 4.0 * (w - 5.0) ** 2)
 
 
+def test_guard_keeps_a_curve_whose_skipped_cells_cannot_matter():
+    # bound 0.05 per cell: the skipped cells [2, 4] and [6, 8] lie below the
+    # 0.1 of narrow_line at 4 and 6, under the half level, and outside the
+    # brackets, which end at 4.4 and 5.6
+    spec, coarse, skipped = guard_inputs(narrow_line, narrow_line(np.arange(11.0)), [4, 5])
+    assert spectroscopy._certified(spec, coarse, skipped, 0.05)
+    full = spectroscopy._merged(spec, Spectrum(np.arange(20, 81) / 10,
+                                               narrow_line(np.arange(20, 81) / 10), "x"))
+    assert printed_metrics(metrics(spec)) == printed_metrics(metrics(full))
+
+
 def test_guard_refuses_a_maximum_outside_the_narrowed_span():
-    # a coarse sample at 1 lies above every fine sample, so metrics read the
-    # peak where the narrowed pass averaged nothing
+    # coarse samples at 6 and 7 sit at 0.45: with a bound of 0.2 per cell
+    # the skipped cell between them may reach 0.55, above the 0.5 maximum
     coarse_p = narrow_line(np.arange(11.0))
-    coarse_p[1] = 0.9
-    spec, span, coarse, rest = guard_inputs(narrow_line, coarse_p)
-    assert abs(metrics(spec).peak_omega - 1.0) < 0.5
-    assert not spectroscopy._narrowed_holds(spec, span, coarse, rest, 0.0)
+    coarse_p[6:8] = 0.45
+    spec, coarse, skipped = guard_inputs(narrow_line, coarse_p, [4, 5])
+    assert metrics(spec).peak_value == pytest.approx(0.5, abs=1e-3)
+    assert not spectroscopy._certified(spec, coarse, skipped, 0.2)
+    assert spectroscopy._certified(spec, coarse, skipped, 0.05)
+
+
+def test_guard_refuses_a_skipped_cell_that_may_meet_the_half_level():
+    # right of the peak the curve rests at 0.3 out to 8, so the right bracket
+    # ends at the coarse sample 8 and the skipped cell [6, 7] lies inside it.
+    # A bound of 0.15 lets that cell dip to 0.225, under the half level of
+    # 0.25, yet not rise to the 0.5 maximum
+    def shoulder(w):
+        return np.where(w < 5.0, narrow_line(w),
+                        np.where(w < 8.0, np.maximum(narrow_line(w), 0.3), 0.1))
+
+    spec, coarse, skipped = guard_inputs(shoulder, shoulder(np.arange(11.0)), [4, 5, 7])
+    k, _ = spectroscopy._bracket(spec.p_e, int(np.argmax(spec.p_e)),
+                                 metrics(spec).peak_value / 2, "right")
+    assert spec.omega[k] == 8.0 and skipped[6]
+    assert not spectroscopy._certified(spec, coarse, skipped, 0.15)
+    assert spectroscopy._certified(spec, coarse, skipped, 0.05)
+
+
+def test_guard_refuses_a_skipped_cell_inside_a_bracket():
+    # the curve falls from 0.45 to 0.1 inside the skipped cell [6, 7], so the
+    # right bracket is that cell's two coarse samples. A bound of 0.01 keeps
+    # the cell above the half level and below the maximum, but the bracket
+    # of the full curve lies between fine samples of the cell
+    def step_down(w):
+        return np.where(w < 5.0, narrow_line(w),
+                        np.where(w < 6.5, np.maximum(narrow_line(w), 0.45), 0.1))
+
+    spec, coarse, skipped = guard_inputs(step_down, step_down(np.arange(11.0)), [4, 5])
+    k, j = spectroscopy._bracket(spec.p_e, int(np.argmax(spec.p_e)),
+                                 metrics(spec).peak_value / 2, "right")
+    assert (spec.omega[j], spec.omega[k]) == (6.0, 7.0) and skipped[6]
+    assert not spectroscopy._certified(spec, coarse, skipped, 0.01)
+    fine_grid = np.arange(20, 81) / 10
+    full = spectroscopy._merged(spec, Spectrum(fine_grid, step_down(fine_grid), "x"))
+    assert metrics(full).fwhm < metrics(spec).fwhm
 
 
 def test_guard_refuses_a_curve_without_a_half_maximum_crossing():
@@ -500,11 +613,11 @@ def test_guard_refuses_a_curve_without_a_half_maximum_crossing():
     def shoulder(w):
         return np.where(w <= 5.0, narrow_line(w), 0.5 - 0.005 * (w - 5.0) ** 2)
 
-    spec, span, coarse, rest = guard_inputs(shoulder, shoulder(np.arange(11.0)))
+    spec, coarse, skipped = guard_inputs(shoulder, shoulder(np.arange(11.0)), [4, 5])
     with pytest.raises(NoCrossingError) as err:
         metrics(spec)
     assert err.value.side == "right"
-    assert not spectroscopy._narrowed_holds(spec, span, coarse, rest, 0.0)
+    assert not spectroscopy._certified(spec, coarse, skipped, 0.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
