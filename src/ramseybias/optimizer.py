@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from .averaging import AveragingParams
 from .errors import InfeasibleError, MetricsError
 from .qubit import TransmonParams
-from .spectroscopy import (CW_AMPLITUDE_DEFAULT, SpectrumMetrics, metrics,
-                           sweep_narrowed, sweep_refined)
+from .spectroscopy import (CW_AMPLITUDE_DEFAULT, MAX_GRID_POINTS, SpectrumMetrics,
+                           metrics, sweep_narrowed, sweep_refined)
 from .units import to_mhz
 
 # time-constant seed rule: the k-th harmonic's moment argument lands where
@@ -45,6 +45,10 @@ class SearchSpace:
             raise ValueError("all time constants must be positive")
         if any(not r >= 0 for r in self.r_grid):
             raise ValueError("all duration ratios must be non-negative")
+        points = len(self.s_grid) * len(self.r_grid)
+        if points > MAX_GRID_POINTS:
+            raise ValueError(f"{points:,} (s, R) points exceed the limit of "
+                             f"{MAX_GRID_POINTS:,} per search")
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,9 @@ class ObjectiveConfig:
 class EvalPoint:
     """One evaluated (s, R) grid point.
 
-    ``full_window`` tells whether its fine pass went on from the narrowed
-    window to the whole fine grid (see :func:`spectroscopy.sweep_narrowed`).
+    ``full_window`` tells whether its fine pass, narrowed to the cells of
+    the fine grid that may matter, went on to average all of them (see
+    :func:`spectroscopy.sweep_narrowed`).
     """
 
     s: float

@@ -26,7 +26,7 @@ from .units import to_ghz
 
 CW_AMPLITUDE_DEFAULT = 0.5
 
-# most points of a sweep grid (8 MB per array) or of a moment torus
+# most points of a sweep grid (8 MB per array), moment torus or (s, R) search
 MAX_GRID_POINTS = 10**6
 
 # detection threshold for fringe listing, as a fraction of the peak value
@@ -321,48 +321,24 @@ def _rise_rate(n_res: int, transmon: TransmonParams, eta: float,
     return MEAN_DURATION * avg.s * (n_res + 2 * (n_res - 1) * avg.ratio_r * rate_d)
 
 
-def _first_at_or_above(x: np.ndarray, lo: float, step: float, n: int) -> np.ndarray:
-    """Index of the first point of the n-point grid ``lo + step * j`` of
-    :func:`make_grid` at or above each x; n past its end.
-
-    The quotient is off from the index by far less than one, so at most one
-    correction either way is needed.
-    """
-    j = np.ceil((x - lo) / step)
-    j -= lo + step * (j - 1.0) >= x
-    j += lo + step * j < x
-    return np.clip(j, 0, n).astype(np.intp)
-
-
-def _cell_points(lo: float, step: float, starts: np.ndarray,
-                 take: np.ndarray) -> np.ndarray:
-    """The points ``lo + step * j`` of the cells marked in ``take``, where
-    cell q holds those with starts[q] <= j < starts[q + 1]."""
-    edges = starts[np.flatnonzero(np.diff(take, prepend=False, append=False))]
-    return lo + step * np.concatenate([np.arange(a, b) for a, b in edges.reshape(-1, 2)]
-                                      or [np.arange(0)])
-
-
-def _certified(spec: Spectrum, coarse: Spectrum, skipped: np.ndarray,
-               rise: float) -> bool:
+def _certified(spec: Spectrum, edges: np.ndarray, upper: np.ndarray,
+               lower: np.ndarray, skipped: np.ndarray) -> bool:
     """Whether ``metrics(spec)`` equals that of the curve which also holds
     the fine samples of the coarse cells marked in ``skipped``.
 
-    Cell q runs from coarse sample q to sample q + 1, and ``spec`` holds
-    every coarse sample. Over a cell the curve moves by at most ``rise``
-    (see :func:`_rise_rate`), so a skipped sample lies within
-    [L_q, U_q] = (p_q + p_{q+1} -+ rise) / 2. Metrics read the maximal
-    sample with its two neighbours, and the outer and inner sample of each
-    half-maximum bracket. Both curves give the same five samples when:
+    Cell q runs from coarse sample ``edges[q]`` to ``edges[q + 1]``, and
+    ``spec`` holds every coarse sample. Every fine sample of cell q lies in
+    [lower[q], upper[q]], margins for the error of computed values included.
+    Metrics read the maximal sample with its two neighbours, and the outer
+    and inner sample of each half-maximum bracket. Both curves give the
+    same five samples when:
 
-    1. every skipped cell has U_q below the maximal sample;
-    2. every skipped cell between the two outer bracket samples has L_q
-       above the half level, so no skipped sample ends a bracket sooner;
+    1. every skipped cell has its upper bound below the maximal sample;
+    2. every skipped cell between the two outer bracket samples has its
+       lower bound above the half level, so no skipped sample ends a
+       bracket sooner;
     3. no skipped cell lies between the maximal sample and a neighbour, or
        between the two samples of a bracket.
-
-    Each comparison keeps a margin of RANGE_TOL for the error of computed
-    values.
     """
     w, p = spec.omega, spec.p_e
     try:
@@ -371,14 +347,12 @@ def _certified(spec: Spectrum, coarse: Spectrum, skipped: np.ndarray,
                                 for side in ("left", "right"))
     except MetricsError:
         return False
-    mid = coarse.p_e[:-1] + coarse.p_e[1:]
     # the cells of the five samples; one at or past the last coarse sample
     # lies in none
-    cell = np.searchsorted(coarse.omega, w[[i - 1, i, k_l, j_r, k_r]], side="right") - 1
+    cell = np.searchsorted(edges, w[[i - 1, i, k_l, j_r, k_r]], side="right") - 1
     a, b = cell[2], cell[4]
-    return bool((mid.max(initial=-np.inf, where=skipped) + rise) / 2.0 + RANGE_TOL < p[i]
-                and ((mid[a:b].min(initial=np.inf, where=skipped[a:b]) - rise) / 2.0
-                     - RANGE_TOL > peak_v / 2.0)
+    return bool(upper.max(initial=-np.inf, where=skipped) < p[i]
+                and lower[a:b].min(initial=np.inf, where=skipped[a:b]) > peak_v / 2.0
                 and not skipped[cell[cell < skipped.size]].any())
 
 
@@ -387,9 +361,9 @@ def _two_stage(scheme: str, transmon: TransmonParams, eta: float,
                refine_step: float, avg: AveragingParams | None,
                cw_amplitude: float, narrow: bool) -> tuple[Spectrum, bool]:
     """:func:`sweep_refined`; with ``narrow``, the fine pass first averages
-    only the coarse cells that may hold the samples metrics read. Returns
-    the spectrum and whether the narrowed pass fell back to the whole fine
-    grid."""
+    only the cells of the fine grid that may hold the samples metrics read.
+    Returns the spectrum and whether the narrowed pass averaged the whole
+    fine grid after all."""
     def fine(grid):
         return sweep(scheme, transmon, eta, grid, avg, cw_amplitude=cw_amplitude)
 
@@ -400,38 +374,35 @@ def _two_stage(scheme: str, transmon: TransmonParams, eta: float,
         # a command may measure two curves: name the one that failed
         exc.args = (f"{scheme} curve: {exc}",)
         raise
-    lo = max(omega_min, m.peak_omega - 2.0 * m.fwhm)
-    hi = min(omega_max, m.peak_omega + 2.0 * m.fwhm)
-    if not narrow:
-        return _merged(coarse, fine(make_grid(lo, hi, refine_step))), False
-    # cell q, from coarse sample q to q + 1, holds the fine points j with
-    # starts[q] <= j < starts[q + 1]; the last cell, those past the last
-    # coarse sample, is always averaged
+    grid = make_grid(max(omega_min, m.peak_omega - 2.0 * m.fwhm),
+                     min(omega_max, m.peak_omega + 2.0 * m.fwhm), refine_step)
     c, pc = coarse.omega, coarse.p_e
-    n_fine = grid_points(lo, hi, refine_step)
-    starts = np.append(_first_at_or_above(c, lo, refine_step, n_fine), n_fine)
-    holds = starts[1:-1] > starts[:-2]
-    first, last = np.flatnonzero(holds)[[0, -1]] + (0, 1)
-    rise = coarse_step * _rise_rate(parse_scheme(scheme), transmon, eta, avg,
-                                    c[first], c[last])
+    rise = math.inf
+    if narrow:
+        # cell q, from coarse sample q to q + 1, holds the next counts[q]
+        # fine points; the last cell, those at or past the last coarse
+        # sample, is always averaged
+        counts = np.diff(np.searchsorted(grid, c), append=grid.size)
+        holds = counts[:-1] > 0
+        first, last = np.flatnonzero(holds)[[0, -1]] + (0, 1)
+        rise = coarse_step * _rise_rate(parse_scheme(scheme), transmon, eta, avg,
+                                        c[first], c[last])
     if not (rise < math.inf and np.all(np.abs(np.diff(pc[first:last + 1])) <= rise)):
-        # no bound holds over the fine grid, or a coarse step breaks it
-        return _merged(coarse, fine(make_grid(lo, hi, refine_step))), True
+        # not narrowed, no bound over the fine grid, or a coarse step breaks it
+        return _merged(coarse, fine(grid)), narrow
     # the cells that may hold the maximum, or the half level for a peak
     # between the coarse maximum and the largest bound
     mid = pc[:-1] + pc[1:]
     upper = (mid + rise) / 2.0 + RANGE_TOL
     lower = (mid - rise) / 2.0 - RANGE_TOL
     top = pc.max()
-    skipped = ~((upper >= top) | ((upper >= top / 2.0)
-                                  & (lower <= upper[first:last].max() / 2.0)))
-    skipped &= holds
-    kept = _cell_points(lo, refine_step, starts, np.append(~skipped, True))
-    spec = _merged(coarse, fine(kept)) if kept.size else coarse
-    if not skipped.any() or _certified(spec, coarse, skipped, rise):
+    skipped = holds & ~((upper >= top) | ((upper >= top / 2.0)
+                                          & (lower <= upper[first:last].max() / 2.0)))
+    kept = np.repeat(np.append(~skipped, True), counts)
+    spec = _merged(coarse, fine(grid[kept])) if kept.any() else coarse
+    if not skipped.any() or _certified(spec, c, upper, lower, skipped):
         return spec, False
-    rest = _cell_points(lo, refine_step, starts, np.append(skipped, False))
-    return _merged(spec, fine(rest)), True
+    return _merged(spec, fine(grid[~kept])), True
 
 
 def sweep_refined(scheme: str, transmon: TransmonParams, eta: float,
@@ -457,11 +428,12 @@ def sweep_narrowed(scheme: str, transmon: TransmonParams, eta: float,
     fewer fine samples; returns the spectrum and whether the whole fine
     grid was averaged after all.
 
-    The fine grid is split into coarse cells, and over each cell the rise
-    bound of :func:`_rise_rate` brackets every fine sample between the
-    cell's two coarse samples. One :func:`sweep` averages the cells whose
-    bracket reaches the coarse maximum or may meet the half level, and the
-    fine samples past the last coarse sample. That curve is kept when
+    The coarse samples cut the one fine grid of :func:`sweep_refined` into
+    cells, and over each cell the rise bound of :func:`_rise_rate` brackets
+    every fine sample between the cell's two coarse samples. One
+    :func:`sweep` averages the cells whose bracket reaches the coarse
+    maximum or may meet the half level, and the fine samples at or past the
+    last coarse sample. That curve is kept when
     :func:`_certified` shows that metrics read the same samples from it as
     from the full curve. Otherwise, or when no finite bound holds over the
     fine grid or a coarse step breaks it, the whole fine grid is averaged,

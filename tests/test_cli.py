@@ -3,8 +3,10 @@
 import gc
 import hashlib
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -373,6 +375,10 @@ GRIDS = "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\n"
     # refused before numpy allocates 800 TB for the grid
     ("optimize", "r_values = 0.001",
      "r_values = logspace:0.0005,0.1,100000000000000", 2, "[optimizer] r_values:"),
+    # each grid is small, but optimize would list 1,001,000 points first
+    ("optimize", "k_values = 3.0\nr_values = 0.001",
+     "k_values = logspace:2,4,1001\nr_values = logspace:0.0005,0.1,1000", 2,
+     "[optimizer] r_values: 1,001,000 (s, R) points exceed the limit"),
     ("validate", "n_samples = 20000", "n_samples = lots", 2, "[mc] n_samples:"),
     # s and r come as a pair: a lone one is refused whatever the command
     *[(command, old, "", 2, blamed)
@@ -832,3 +838,60 @@ def test_trace_row_of_a_point_without_metrics(tmp_path, monkeypatch, workers):
     summary = read_report(out / "optimize_summary.txt")
     assert summary["best_s_ns"] == "1.13333333"
     assert summary["pareto_size"] == "1" and summary["evaluated"] == "2"
+
+
+# a probe replaces one to three lines of PROBE_BASE with one of these
+# values each, or drops the line (None)
+MUTATIONS = {
+    "ec_ghz": ["0.3", "0", "-1", "1e300", "nan", "abc", None],
+    "ej_ratio": ["30", "0.5", "1e305", None],
+    "phi_res": ["0.45", "0.5", "0.6", "-0.1", "0"],
+    "phi_disp": ["0.47", "0.5", "0.46", "2"],
+    "eta_ghz": ["0.01", "3", "0", "-0.1", "1e200", None],
+    "kind": ["cw", "triple", "general:4", "general:26", "ramsey", None],
+    "min_ghz": ["4.3", "0", "6", "-1", None],
+    "max_ghz": ["4.6", "3.0", "1e309", None],
+    "step_mhz": ["4", "0.5000001", "0", "1e-9", None],
+    "refine_step_mhz": ["1", "0.05", "1000", "-1", None],
+    "baseline_shift": ["false", "maybe", None],
+    "cw_amplitude": ["1.0", "1.1", "0", None],
+    "s": ["0.68pi/2eta", "1.5", "0", "-1", "1e-30", "0.68pi/0eta", None],
+    "r": ["0", "0.1", "-1", "1e300", None],
+    "k_values": ["2.5, 3.5", "0", "1e300", "logspace:2,4,2", None],
+    "r_values": ["0", "0.001, 0.05", "logspace:0.0005,0.1,3", "logspace:0,0.1,2",
+                 "1e300", None],
+    "p_min": ["0.99", "2", "0", None],
+    "shift_max_mhz": ["0.001", "0", "-5", None],
+    "s_values_ns": ["1.0, 1.5", "-1"],
+    "n_samples": ["100", "500", "1000000000000", "lots", None],
+    "seed": ["7", "-1", None],
+    "out_dir": ["{out}/run.cfg", "{out}/run.cfg/sub"],
+}
+# the template with a 1 x 2 search grid and 2,000 Monte Carlo samples, so
+# that each command takes well under a second
+PROBE_BASE = (TEMPLATE.replace("k_values = 2.5, 3.0, 3.5", "k_values = 3.0")
+              .replace("r_values = logspace:0.0005,0.1,12", "r_values = 0.001, 0.02")
+              .replace("n_samples = 1000000", "n_samples = 2000")
+              .replace("out_dir = .", "out_dir = {out}/out"))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["spectrum", "baseline", "optimize", "validate"]),
+       changes=st.lists(st.sampled_from(sorted(MUTATIONS)).flatmap(
+           lambda key: st.tuples(st.just(key), st.sampled_from(MUTATIONS[key]))),
+           min_size=1, max_size=3, unique_by=lambda change: change[0]))
+def test_mutated_template_never_exits_1(command, changes):
+    # the optimizer grids and the Monte Carlo sample count stay small, and
+    # a numpy overflow or invalid-value warning still fails the run
+    text = PROBE_BASE
+    for key, value in changes:
+        line = "" if value is None else f"{key} = {value}  "
+        text, hits = re.subn(rf"^#? ?{key} = [^#\n]*", line, text, flags=re.M)
+        assert hits == 1, key
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        cfg = os.path.join(out, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as handle:
+            handle.write(text.replace("{out}", out))
+        assert main([command, "--config", cfg]) in {0, 2, 3, 4, 5}

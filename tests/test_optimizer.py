@@ -60,6 +60,11 @@ def test_search_space_validation():
         SearchSpace((1e-9,), (math.nan,))
     with pytest.raises(ValueError):
         SearchSpace((0.0,), (0.001,))
+    # the cap is on the product of the two grids
+    assert len(SearchSpace((1e-9,) * 1000, (0.001,) * 1000).s_grid) == 1000
+    with pytest.raises(ValueError, match=r"^1,001,000 \(s, R\) points exceed the "
+                                         "limit of 1,000,000 per search$"):
+        SearchSpace((1e-9,) * 1001, (0.001,) * 1000)
     # the cw scheme has no (s, R) to search, and optimize refuses it
     with pytest.raises(ValueError, match="cannot optimize the cw scheme"):
         run(SearchSpace((1e-9,), (0.001,)), "cw")

@@ -13,7 +13,7 @@ from ramseybias import (AveragingParams, DomainError, DriveParams,
                         omega_eg, pe_average, regime_quantities, sweep,
                         sweep_refined)
 from ramseybias import spectroscopy
-from ramseybias.averaging import _pe_double_formula, _pe_grid_numeric
+from ramseybias.averaging import RANGE_TOL, _pe_double_formula, _pe_grid_numeric
 from ramseybias.spectroscopy import (FRINGE_THRESHOLD, MAX_GRID_POINTS,
                                      _grid_quantities, _parabolic_peak, _peak,
                                      grid_points, parse_scheme, sweep_narrowed)
@@ -395,6 +395,70 @@ def test_fallback_averages_each_fine_point_once(monkeypatch):
                                              *TEMPLATE_WINDOW, avg))
 
 
+def lorentz_windows(rng):
+    """Seeded sweep windows of a Lorentzian of half width g: (omega_min,
+    omega_max, coarse_step, refine_step, w0, g). The first ones step in
+    powers of two with the peak within four half widths of omega_min, so the
+    fine grid starts at omega_min and shares points with the coarse grid."""
+    for n in range(24):
+        g = rng.uniform(0.5, 2.0)
+        if n < 8:
+            coarse_step = 2.0 ** -int(rng.integers(2, 6))
+            refine_step = coarse_step / 2 ** int(rng.integers(1, 5))
+            omega_min = float(rng.integers(1, 100))
+            w0 = omega_min + rng.uniform(1.5, 3.5) * g
+        else:
+            coarse_step = g / rng.uniform(8.0, 40.0)
+            refine_step = coarse_step / rng.uniform(0.7, 30.0)
+            omega_min = rng.uniform(1.0, 100.0)
+            w0 = omega_min + rng.uniform(1.5, 12.0) * g
+        yield omega_min, w0 + rng.uniform(1.5, 12.0) * g, coarse_step, refine_step, w0, g
+
+
+def test_each_fine_point_is_averaged_in_the_cell_of_its_coarse_samples(monkeypatch):
+    # a Lorentzian stands in for the averaged line, with its own slope bound;
+    # a refused certificate makes the narrowed pass average the rest too
+    shared = refused = 0
+    for omega_min, omega_max, coarse_step, refine_step, w0, g in lorentz_windows(
+            np.random.default_rng(2024)):
+        grids, masks = [], []
+
+        def lorentzian(scheme, transmon, eta, grid, *args, **kwargs):
+            grids.append(grid)
+            return Spectrum(grid, 0.5 / (1.0 + ((grid - w0) / g) ** 2), scheme)
+
+        def refuse(spec, edges, upper, lower, skipped):
+            masks.append(skipped)
+            return False
+
+        monkeypatch.setattr(spectroscopy, "sweep", lorentzian)
+        monkeypatch.setattr(spectroscopy, "_rise_rate", lambda *args: 0.4 / g)
+        monkeypatch.setattr(spectroscopy, "_certified", refuse)
+        spec, full = sweep_narrowed("double", TRANSMON, ETA, omega_min, omega_max,
+                                    coarse_step, refine_step, default_avg())
+        coarse = grids[0]
+        m = metrics(Spectrum(coarse, 0.5 / (1.0 + ((coarse - w0) / g) ** 2), "x"))
+        lo = max(omega_min, m.peak_omega - 2.0 * m.fwhm)
+        fine_grid = make_grid(lo, min(omega_max, m.peak_omega + 2.0 * m.fwhm),
+                              refine_step)
+        skipped = masks[0] if masks else np.zeros(coarse.size - 1, dtype=bool)
+        # by brute force: the cell of each fine point, and whether it is skipped
+        cell = np.searchsorted(coarse, fine_grid, side="right") - 1
+        rest = np.append(skipped, False)[cell]
+        assert np.array_equal(grids[1], fine_grid[~rest])
+        assert full == bool(masks) == (len(grids) == 3)
+        if full:
+            assert skipped.any() and np.array_equal(grids[2], fine_grid[rest])
+        # kept and rest are the fine grid bit for bit, each point averaged once
+        averaged = np.concatenate(grids[1:])
+        assert np.array_equal(np.sort(averaged), fine_grid)
+        assert np.unique(averaged).size == averaged.size
+        assert np.all(np.isin(coarse, spec.omega)) and np.all(np.isin(fine_grid, spec.omega))
+        shared += lo == omega_min and np.isin(fine_grid, coarse).sum() > 1
+        refused += full
+    assert shared >= 8 and refused >= 20
+
+
 @pytest.mark.filterwarnings("ignore:.* of the dispersive-bias splitting")
 @pytest.mark.parametrize("transmon, scheme, avg, full", [
     (TRANSMON, "double", default_avg(), False), (CLOSE, *FALLBACK, True)],
@@ -545,6 +609,14 @@ def guard_inputs(fine, coarse_p, averaged):
     return spec, coarse, skipped
 
 
+def certified(spec, coarse, skipped, rise):
+    """``_certified`` on the cell bounds that ``_two_stage`` derives from a
+    rise of at most ``rise`` over each coarse cell."""
+    mid = coarse.p_e[:-1] + coarse.p_e[1:]
+    return spectroscopy._certified(spec, coarse.omega, (mid + rise) / 2.0 + RANGE_TOL,
+                                   (mid - rise) / 2.0 - RANGE_TOL, skipped)
+
+
 def narrow_line(w):
     return 0.5 / (1.0 + 4.0 * (w - 5.0) ** 2)
 
@@ -554,7 +626,7 @@ def test_guard_keeps_a_curve_whose_skipped_cells_cannot_matter():
     # 0.1 of narrow_line at 4 and 6, under the half level, and outside the
     # brackets, which end at 4.4 and 5.6
     spec, coarse, skipped = guard_inputs(narrow_line, narrow_line(np.arange(11.0)), [4, 5])
-    assert spectroscopy._certified(spec, coarse, skipped, 0.05)
+    assert certified(spec, coarse, skipped, 0.05)
     full = spectroscopy._merged(spec, Spectrum(np.arange(20, 81) / 10,
                                                narrow_line(np.arange(20, 81) / 10), "x"))
     assert printed_metrics(metrics(spec)) == printed_metrics(metrics(full))
@@ -567,8 +639,8 @@ def test_guard_refuses_a_maximum_outside_the_narrowed_span():
     coarse_p[6:8] = 0.45
     spec, coarse, skipped = guard_inputs(narrow_line, coarse_p, [4, 5])
     assert metrics(spec).peak_value == pytest.approx(0.5, abs=1e-3)
-    assert not spectroscopy._certified(spec, coarse, skipped, 0.2)
-    assert spectroscopy._certified(spec, coarse, skipped, 0.05)
+    assert not certified(spec, coarse, skipped, 0.2)
+    assert certified(spec, coarse, skipped, 0.05)
 
 
 def test_guard_refuses_a_skipped_cell_that_may_meet_the_half_level():
@@ -584,8 +656,8 @@ def test_guard_refuses_a_skipped_cell_that_may_meet_the_half_level():
     k, _ = spectroscopy._bracket(spec.p_e, int(np.argmax(spec.p_e)),
                                  metrics(spec).peak_value / 2, "right")
     assert spec.omega[k] == 8.0 and skipped[6]
-    assert not spectroscopy._certified(spec, coarse, skipped, 0.15)
-    assert spectroscopy._certified(spec, coarse, skipped, 0.05)
+    assert not certified(spec, coarse, skipped, 0.15)
+    assert certified(spec, coarse, skipped, 0.05)
 
 
 def test_guard_refuses_a_skipped_cell_inside_a_bracket():
@@ -601,7 +673,7 @@ def test_guard_refuses_a_skipped_cell_inside_a_bracket():
     k, j = spectroscopy._bracket(spec.p_e, int(np.argmax(spec.p_e)),
                                  metrics(spec).peak_value / 2, "right")
     assert (spec.omega[j], spec.omega[k]) == (6.0, 7.0) and skipped[6]
-    assert not spectroscopy._certified(spec, coarse, skipped, 0.01)
+    assert not certified(spec, coarse, skipped, 0.01)
     fine_grid = np.arange(20, 81) / 10
     full = spectroscopy._merged(spec, Spectrum(fine_grid, step_down(fine_grid), "x"))
     assert metrics(full).fwhm < metrics(spec).fwhm
@@ -617,7 +689,7 @@ def test_guard_refuses_a_curve_without_a_half_maximum_crossing():
     with pytest.raises(NoCrossingError) as err:
         metrics(spec)
     assert err.value.side == "right"
-    assert not spectroscopy._certified(spec, coarse, skipped, 0.0)
+    assert not certified(spec, coarse, skipped, 0.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
