@@ -22,7 +22,8 @@ from .averaging import AveragingParams, McConfig
 from .errors import ConfigError
 from .optimizer import ObjectiveConfig, SearchSpace, seed_points
 from .qubit import TransmonParams
-from .spectroscopy import MAX_GRID_POINTS, grid_points, parse_scheme
+from .spectroscopy import (CW_AMPLITUDE_DEFAULT, MAX_GRID_POINTS, grid_points,
+                           parse_scheme)
 from .units import RAD_PER_GHZ, RAD_PER_MHZ, ns
 
 TEMPLATE = """\
@@ -117,11 +118,12 @@ def _finite(text: str) -> float:
 
 
 class _Section:
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self.parser = parser
-        self.name = name
+    def __init__(self, parser: configparser.ConfigParser, name: str, read: set):
+        self.parser, self.name, self.read = parser, name, read
 
     def has(self, key: str) -> bool:
+        # every lookup passes here, so ``read`` collects each key known
+        self.read.add((self.name, key))
         return self.parser.has_option(self.name, key)
 
     def text(self, key: str, default: str | None = None) -> str:
@@ -192,7 +194,7 @@ def load_config(path: str) -> RunConfig:
     """Parse and validate a run configuration file.
 
     Raises ConfigError with a ``[section] key`` diagnostic on any parse or
-    validation failure.
+    validation failure, and for any key, in any section, that it never reads.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -203,6 +205,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    read: set[tuple[str, str]] = set()
 
     for required in ("transmon", "drive", "sweep"):
         if not parser.has_section(required):
@@ -210,7 +213,7 @@ def load_config(path: str) -> RunConfig:
 
     # DomainError (e.g. invalid flux) propagates: it is a physics problem,
     # not a parse problem, and maps to a different exit code
-    transmon_sec = _Section(parser, "transmon")
+    transmon_sec = _Section(parser, "transmon", read)
     transmon = TransmonParams.from_ghz(
         ec_ghz=transmon_sec.number("ec_ghz", 0.5),
         ej_ratio=transmon_sec.number("ej_ratio", 100.0),
@@ -218,14 +221,14 @@ def load_config(path: str) -> RunConfig:
         phi_disp=transmon_sec.number("phi_disp"),
     )
 
-    eta = _Section(parser, "drive").scaled("eta_ghz", RAD_PER_GHZ)
+    eta = _Section(parser, "drive", read).scaled("eta_ghz", RAD_PER_GHZ)
     if eta <= 0:
         _fail("drive", "eta_ghz", "must be positive")
 
-    scheme = _Section(parser, "scheme").text("kind", "double")
+    scheme = _Section(parser, "scheme", read).text("kind", "double")
     checked("[scheme] kind", parse_scheme, scheme)
 
-    sweep_sec = _Section(parser, "sweep")
+    sweep_sec = _Section(parser, "sweep", read)
     omega_min = sweep_sec.scaled("min_ghz", RAD_PER_GHZ)
     omega_max = sweep_sec.scaled("max_ghz", RAD_PER_GHZ)
     if not omega_min > 0:
@@ -238,12 +241,12 @@ def load_config(path: str) -> RunConfig:
         # the refined pass spans at most the whole window
         checked(f"[sweep] {key}", grid_points, omega_min, omega_max, step)
     baseline_shift = sweep_sec.flag("baseline_shift", True)
-    cw_amplitude = sweep_sec.number("cw_amplitude", 0.5)
+    cw_amplitude = sweep_sec.number("cw_amplitude", CW_AMPLITUDE_DEFAULT)
     if not 0 < cw_amplitude <= 1:
         _fail("sweep", "cw_amplitude", "must lie in (0, 1]")
 
     # a missing optional section has no keys, so each key's default applies
-    avg_sec = _Section(parser, "averaging")
+    avg_sec = _Section(parser, "averaging", read)
     avg = None
     if avg_sec.has("s") or avg_sec.has("r"):
         # R = 0 stands in until s has passed, so that a refusal names its key
@@ -252,7 +255,7 @@ def load_config(path: str) -> RunConfig:
         avg = checked("[averaging] s", AveragingParams, s_value, 0.0)
         avg = checked("[averaging] r", replace, avg, ratio_r=avg_sec.number("r"))
 
-    opt_sec = _Section(parser, "optimizer")
+    opt_sec = _Section(parser, "optimizer", read)
     s_grid: list[float] = []
     if opt_sec.has("k_values"):
         k_values = _parse_values(opt_sec.text("k_values"), "optimizer", "k_values")
@@ -281,10 +284,14 @@ def load_config(path: str) -> RunConfig:
 
     # seed 0 stands in until n_samples has passed, so that a refusal names
     # its key
-    mc_sec = _Section(parser, "mc")
+    mc_sec = _Section(parser, "mc", read)
     mc = checked("[mc] n_samples", McConfig, mc_sec.integer("n_samples", 10**6), 0)
     mc = checked("[mc] seed", replace, mc, rng_seed=mc_sec.integer("seed", 42))
-    out_dir = _Section(parser, "output").text("out_dir", ".")
+    out_dir = _Section(parser, "output", read).text("out_dir", ".")
+    for name in (parser.default_section, *parser.sections()):
+        for key in parser[name]:
+            if (name, key) not in read:
+                _fail(name, key, "unknown key")
 
     return RunConfig(
         transmon=transmon, eta=eta, scheme=scheme,

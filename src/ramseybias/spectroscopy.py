@@ -285,17 +285,11 @@ def metrics(spec: Spectrum, reference: Spectrum | None = None) -> SpectrumMetric
 def _merged(first: Spectrum, second: Spectrum) -> Spectrum:
     """One strictly increasing spectrum of two passes; of equal frequencies,
     the first pass's sample is kept."""
-    at = np.searchsorted(first.omega, second.omega, side="right")
-    # at == 0 compares with the first pass's last frequency, which is larger
-    new = first.omega[at - 1] != second.omega
-    at = at[new]
-    at += np.arange(at.size)
-    old = np.ones(len(first) + at.size, dtype=bool)
-    old[at] = False
-    w, p = np.empty(old.size), np.empty(old.size)
-    w[at], p[at] = second.omega[new], second.p_e[new]
-    w[old], p[old] = first.omega, first.p_e
-    return Spectrum(w, p, first.scheme_tag)
+    w = np.concatenate((first.omega, second.omega))
+    order = np.argsort(w, kind="stable")
+    w, p = w[order], np.concatenate((first.p_e, second.p_e))[order]
+    keep = np.diff(w, prepend=-np.inf) > 0
+    return Spectrum(w[keep], p[keep], first.scheme_tag)
 
 
 def _rise_rate(n_res: int, transmon: TransmonParams, eta: float,
@@ -356,40 +350,45 @@ def _certified(spec: Spectrum, edges: np.ndarray, upper: np.ndarray,
                 and not skipped[cell[cell < skipped.size]].any())
 
 
-def _two_stage(scheme: str, transmon: TransmonParams, eta: float,
-               omega_min: float, omega_max: float, coarse_step: float,
-               refine_step: float, avg: AveragingParams | None,
-               cw_amplitude: float, narrow: bool) -> tuple[Spectrum, bool]:
-    """:func:`sweep_refined`; with ``narrow``, the fine pass first averages
-    only the cells of the fine grid that may hold the samples metrics read.
-    Returns the spectrum and whether the narrowed pass averaged the whole
-    fine grid after all."""
-    def fine(grid):
-        return sweep(scheme, transmon, eta, grid, avg, cw_amplitude=cw_amplitude)
+def _two_stage(fine, omega_min: float, omega_max: float, coarse_step: float,
+               refine_step: float, rise_rate=None) -> tuple[Spectrum, bool]:
+    """Coarse pass of the pointwise curve ``fine(grid) -> Spectrum`` over
+    the window, then a fine pass at ``refine_step`` over the coarse peak
+    plus or minus twice the coarse width, clipped to the window. Returns the
+    merged spectrum and whether a narrowed pass fell back to the whole grid.
 
+    It narrows only given ``rise_rate(lo, hi)``, a bound on |dp/d omega|
+    over [lo, hi]. The coarse samples cut the fine grid into cells, and the
+    bound times the coarse step brackets each cell's fine samples between
+    its coarse ones. One pass averages the cells whose bracket reaches the
+    coarse maximum or may meet the half level, and the fine samples at or
+    past the last coarse sample. That curve is kept when :func:`_certified`
+    shows that metrics read the same samples from it as from the full curve.
+    Otherwise, or when the bound is infinite or a coarse step breaks it, the
+    rest is averaged too: ``fine`` is pointwise, so that is the unnarrowed
+    spectrum exactly.
+    """
     coarse = fine(make_grid(omega_min, omega_max, coarse_step))
     try:
         m = metrics(coarse)
     except MetricsError as exc:
         # a command may measure two curves: name the one that failed
-        exc.args = (f"{scheme} curve: {exc}",)
+        exc.args = (f"{coarse.scheme_tag} curve: {exc}",)
         raise
     grid = make_grid(max(omega_min, m.peak_omega - 2.0 * m.fwhm),
                      min(omega_max, m.peak_omega + 2.0 * m.fwhm), refine_step)
     c, pc = coarse.omega, coarse.p_e
     rise = math.inf
-    if narrow:
+    if rise_rate is not None:
         # cell q, from coarse sample q to q + 1, holds the next counts[q]
         # fine points; the last cell, those at or past the last coarse
         # sample, is always averaged
         counts = np.diff(np.searchsorted(grid, c), append=grid.size)
         holds = counts[:-1] > 0
         first, last = np.flatnonzero(holds)[[0, -1]] + (0, 1)
-        rise = coarse_step * _rise_rate(parse_scheme(scheme), transmon, eta, avg,
-                                        c[first], c[last])
+        rise = coarse_step * rise_rate(c[first], c[last])
     if not (rise < math.inf and np.all(np.abs(np.diff(pc[first:last + 1])) <= rise)):
-        # not narrowed, no bound over the fine grid, or a coarse step breaks it
-        return _merged(coarse, fine(grid)), narrow
+        return _merged(coarse, fine(grid)), rise_rate is not None
     # the cells that may hold the maximum, or the half level for a peak
     # between the coarse maximum and the largest bound
     mid = pc[:-1] + pc[1:]
@@ -416,8 +415,9 @@ def sweep_refined(scheme: str, transmon: TransmonParams, eta: float,
     the window), resolving shifts far below the coarse step. The merged,
     strictly increasing spectrum is returned.
     """
-    return _two_stage(scheme, transmon, eta, omega_min, omega_max, coarse_step,
-                      refine_step, avg, cw_amplitude, False)[0]
+    return _two_stage(lambda grid: sweep(scheme, transmon, eta, grid, avg,
+                                         cw_amplitude=cw_amplitude),
+                      omega_min, omega_max, coarse_step, refine_step)[0]
 
 
 def sweep_narrowed(scheme: str, transmon: TransmonParams, eta: float,
@@ -428,23 +428,16 @@ def sweep_narrowed(scheme: str, transmon: TransmonParams, eta: float,
     fewer fine samples; returns the spectrum and whether the whole fine
     grid was averaged after all.
 
-    The coarse samples cut the one fine grid of :func:`sweep_refined` into
-    cells, and over each cell the rise bound of :func:`_rise_rate` brackets
-    every fine sample between the cell's two coarse samples. One
-    :func:`sweep` averages the cells whose bracket reaches the coarse
-    maximum or may meet the half level, and the fine samples at or past the
-    last coarse sample. That curve is kept when
-    :func:`_certified` shows that metrics read the same samples from it as
-    from the full curve. Otherwise, or when no finite bound holds over the
-    fine grid or a coarse step breaks it, the whole fine grid is averaged,
-    and since a sweep is pointwise that is the spectrum of
-    :func:`sweep_refined` exactly. Each pass warns about, and raises for,
-    only the frequencies it averages. A "cw" line, which
-    :func:`_rise_rate` cannot bound, is never narrowed.
-
-    Fringes: a kept curve holds only coarse samples in its skipped cells,
-    so the fringes that metrics list there are the coarse pass's.
+    :func:`_two_stage` narrows the fine pass by the bound of
+    :func:`_rise_rate`, which is finite over fine grids clear of the
+    dispersive splitting. A "cw" line has no such bound and is never
+    narrowed. Each pass warns about, and raises for, only the frequencies
+    it averages. Fringes: a kept curve holds only coarse samples in its
+    skipped cells, so the fringes that metrics list there are the coarse
+    pass's.
     """
-    return _two_stage(scheme, transmon, eta, omega_min, omega_max, coarse_step,
-                      refine_step, avg, CW_AMPLITUDE_DEFAULT,
-                      parse_scheme(scheme) is not None)
+    n_res = parse_scheme(scheme)
+    return _two_stage(lambda grid: sweep(scheme, transmon, eta, grid, avg),
+                      omega_min, omega_max, coarse_step, refine_step,
+                      None if n_res is None else
+                      lambda lo, hi: _rise_rate(n_res, transmon, eta, avg, lo, hi))

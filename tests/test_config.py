@@ -252,3 +252,35 @@ def test_grid_point_ceiling_exits_2(tmp_path, capsys, key, value, message):
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"[sweep] {key}: " in err and message in err
+
+
+@pytest.mark.parametrize("command, line, typo, blamed", [
+    ("spectrum", "ec_ghz = 0.5", "ec_ghs = 0.5", "[transmon] ec_ghs"),
+    # the two keys of [drive] and [averaging] are required, so the typo is
+    # an extra key next to them
+    ("spectrum", "eta_ghz = 0.1", "eta_ghz = 0.1\neta_mhz = 100", "[drive] eta_mhz"),
+    ("spectrum", "kind = double", "knid = double", "[scheme] knid"),
+    ("spectrum", "step_mhz = 1.0", "step_mhs = 1.0", "[sweep] step_mhs"),
+    ("spectrum", "r = 0.001", "r = 0.001\nratio_r = 0.001", "[averaging] ratio_r"),
+    # unread, the cap would let the search pick a line shifted far past 5 MHz
+    ("optimize", "shift_max_mhz = 5.0", "shift_max_mhs = 5.0",
+     "[optimizer] shift_max_mhs"),
+    ("spectrum", "seed = 42", "sead = 42", "[mc] sead"),
+    ("spectrum", "out_dir = .", "outdir = .", "[output] outdir"),
+    # a misspelled section name makes each of its keys unknown; unread, it
+    # would run validate on the default 1e6 samples
+    ("validate", "[mc]", "[montecarlo]", "[montecarlo] n_samples"),
+    # configparser would copy the keys of [DEFAULT] into every section
+    ("spectrum", "[transmon]", "[DEFAULT]\nseed = 42\n\n[transmon]", "[DEFAULT] seed"),
+])
+def test_unknown_keys_and_sections_exit_2(tmp_path, capsys, command, line, typo,
+                                          blamed):
+    text, hits = re.subn(rf"^{re.escape(line)}( |$)", typo + r"\1", TEMPLATE,
+                         flags=re.M)
+    assert hits == 1
+    cfg = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(blamed)}: unknown key$"):
+        load_config(cfg)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {blamed}: unknown key\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "custom.cfg"]

@@ -714,6 +714,101 @@ def test_rise_rate_bounds_the_sampled_slope(n_res, k, log_r, phi_disp, offset_gh
                                             grid[0], grid[-1])
 
 
+def toy_curve(kind, centre, g, size, h):
+    """A pointwise toy line ``fine(grid) -> Spectrum`` and the exact bound
+    on its slope. Built from arithmetic alone, each value is the same bit
+    for bit in any grid. A Lorentzian a / (1 + x^2), x = (w - w0)/g, rises
+    at most 3 sqrt(3) a / (8 g); a plateau of height a between the steps
+    (1 -+ x / (1 + |x|)) / 2 at most a / g."""
+    if kind == "lorentzians":
+        # one to three, spaced by three widths, each lower and wider
+        peaks = [(centre + 3.0 * g * q, h / (q + 1.0), g * (1.0 + q / 2.0))
+                 for q in range(size)]
+        plateaus = []
+    elif kind == "twins":
+        # the second peak lower by a relative 1e-6 to 1e-3
+        peaks = [(centre, 0.5, g), (centre + size * g, 0.5 * (1.0 - h), g)]
+        plateaus = []
+    else:
+        # a plateau near the half level on the right flank, some widths long
+        peaks, plateaus = [(centre, 0.5, g)], [(centre + g, 0.25 * h, g / 2.0, size * g)]
+    norm = sum(a for _, a, _ in peaks) + sum(a for _, a, _, _ in plateaus)
+
+    def step(grid, w0, width):
+        x = (grid - w0) / width
+        return 0.5 - 0.5 * x / (1.0 + np.abs(x))
+
+    def fine(grid):
+        p = np.zeros_like(grid)
+        for w0, a, width in peaks:
+            x = (grid - w0) / width
+            p += a / (1.0 + x * x)
+        for w0, a, width, length in plateaus:
+            p += a * (step(grid, w0 + length, width) - step(grid, w0, width))
+        return Spectrum(grid, p / norm, "toy")
+
+    bound = (sum(3.0 * math.sqrt(3.0) * a / (8.0 * width) for _, a, width in peaks)
+             + sum(a / width for _, a, width, _ in plateaus)) / norm
+    return fine, bound
+
+
+TOY_CASES = st.one_of(
+    st.tuples(st.just("lorentzians"), st.integers(1, 3), st.floats(0.3, 1.0)),
+    st.tuples(st.just("twins"), st.floats(2.5, 6.0), st.floats(1e-6, 1e-3)),
+    st.tuples(st.just("shoulder"), st.floats(2.0, 5.0), st.floats(0.7, 1.3)))
+# a fixed reference line with its peak at 47.5, for the shift
+TOY_REFERENCE = Spectrum(np.arange(101.0), 1.0 / (1.0 + (np.arange(101.0) - 47.5) ** 2),
+                         "reference")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=TOY_CASES, centre=st.floats(30.0, 50.0), g=st.floats(0.5, 2.0),
+       cells_per_width=st.floats(3.0, 30.0), fine_per_cell=st.floats(1.5, 20.0))
+def test_narrowing_by_an_exact_bound_keeps_the_metrics(case, centre, g,
+                                                       cells_per_width, fine_per_cell):
+    # no monkeypatching: _two_stage takes the curve and its bound
+    fine, bound = toy_curve(case[0], centre, g, *case[1:])
+    window = (10.0, 90.0, g / cells_per_width, g / cells_per_width / fine_per_cell)
+    whole, full = spectroscopy._two_stage(fine, *window)
+    assert full is False
+    # an infinite bound, or one that the coarse steps break, falls back
+    for scale in (1.0, math.inf, 1e-3):
+        spec, full = spectroscopy._two_stage(fine, *window,
+                                             lambda lo, hi, scale=scale: scale * bound)
+        assert (printed_metrics(metrics(spec, reference=TOY_REFERENCE))
+                == printed_metrics(metrics(whole, reference=TOY_REFERENCE)))
+        if full:
+            assert_same_spectrum(spec, whole)
+        else:
+            assert scale == 1.0 and len(spec) <= len(whole)
+            assert np.all(np.isin(spec.omega, whole.omega))
+
+
+def test_merged_keeps_the_first_pass_on_equal_frequencies():
+    # each pass draws from a random run of one pool of frequencies, so the
+    # two share some, interleave, or lie wholly apart
+    rng = np.random.default_rng(33)
+    apart = 0
+
+    def draw(pool, tag):
+        lo, hi = np.sort(rng.integers(0, pool.size, 2)) + (0, 1)
+        w = np.unique(rng.choice(pool[lo:hi], rng.integers(1, 40)))
+        return Spectrum(w, rng.uniform(0.0, 1.0, w.size), tag)
+
+    for _ in range(300):
+        pool = np.cumsum(rng.uniform(1e-3, 1.0, rng.integers(1, 40)))
+        first, second = draw(pool, "first"), draw(pool, "second")
+        by_hand = {}
+        for spec in (second, first):
+            by_hand.update(zip(spec.omega.tolist(), spec.p_e.tolist()))
+        merged = spectroscopy._merged(first, second)
+        assert merged.omega.tolist() == sorted(by_hand)
+        assert merged.p_e.tolist() == [by_hand[w] for w in sorted(by_hand)]
+        assert merged.scheme_tag == "first"
+        apart += first.omega[-1] < second.omega[0] or second.omega[-1] < first.omega[0]
+    assert apart >= 50
+
+
 # ------------------------------------------------------ fringe behavior
 
 def test_double_fringes_suppressed_quick():
