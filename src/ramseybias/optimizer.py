@@ -255,10 +255,11 @@ def optimize(scheme: str, space: SearchSpace, transmon: TransmonParams,
     :func:`_evaluate_all`); the trace, the warnings and the error raised
     are those of a serial run, whatever the CPU count. A point whose
     metrics fail is recorded as infeasible; any other error of a point is
-    raised, that of the first failing point in grid order. The best point minimizes the width among feasible points
-    (peak >= p_min and, when set, |shift| <= shift_max); ties prefer larger
-    peak, then smaller R, then smaller s. Raises InfeasibleError when no
-    point is feasible, carrying the best-peak point for diagnosis.
+    raised, that of the first failing point in grid order. The best point
+    minimizes the width among feasible points (peak >= p_min and, when set,
+    |shift| <= shift_max); ties prefer larger peak, then smaller R, then
+    smaller s. Raises InfeasibleError when no point is feasible, carrying
+    the best-peak point for diagnosis.
     """
     if scheme == "cw":
         raise ValueError("cannot optimize the cw scheme")

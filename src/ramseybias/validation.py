@@ -23,7 +23,7 @@ from .evolution import (BiasTrain, GROUND, compose_train, dispersive_phase,
                         propagate_segment, train_excitation)
 from .optimizer import _evaluate_all, seed_points
 from .qubit import DriveParams, TransmonParams, omega_eg, regime_quantities
-from .spectroscopy import _grid_quantities, make_grid, pe_average
+from .spectroscopy import make_grid, pe_average
 from .units import to_ghz
 
 # Monte Carlo draws of (omega, s, R) per averaged-curve check
@@ -183,7 +183,8 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig,
     step = 2.0 * np.pi * 5e6
     grid = make_grid(max(w_res - 2.0 * np.pi * 1.0e9, step),
                      w_res + 2.0 * np.pi * 1.0e9, step)
-    raw = pe_average(2, *_grid_quantities(transmon, eta, grid), avg)
+    _, grid_res, grid_disp = _quantities(transmon, eta, grid)
+    raw = pe_average(2, grid_res.lam, grid_res.theta, grid_disp.delta_d, avg)
     excess = float(max(np.max(raw) - 1.0, -np.min(raw), 0.0))
     checks.append(CheckResult("double_avg_probability_range",
                               excess <= RANGE_TOL, excess, RANGE_TOL,

@@ -1,5 +1,6 @@
 """Command-line behavior: files, round trips, exit codes, determinism."""
 
+import argparse
 import gc
 import hashlib
 import os
@@ -203,6 +204,32 @@ def test_exit_4_on_infeasible(tmp_path, capsys):
     assert summary["reason"] == ("no grid point satisfies peak >= 0.99 and "
                                  "|shift| <= 5 MHz")
     assert "best_peak_value" in summary
+
+
+_NO_PEAK_CFG = TEMPLATE.replace("k_values = 2.5, 3.0, 3.5", "s_values_ns = 0.05").replace(
+    "r_values = logspace:0.0005,0.1,12", "r_values = 0.001")
+
+
+@pytest.mark.parametrize("text, want", [
+    (FAST_CFG + "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\n"
+     "p_min = 0.99\nshift_max_mhz = 5\n",
+     "status = infeasible\n"
+     "reason = no grid point satisfies peak >= 0.99 and |shift| <= 5 MHz\n"
+     "# best-peak point for diagnosis\n"
+     "best_peak_s_ns = 1.13333333\n"
+     "best_peak_r = 0.001\n"
+     "best_peak_value = 0.675778618\n"
+     "best_peak_fwhm_mhz = 305.895838\n"),
+    # no point has a peak to report, so only the status and the reason
+    (_NO_PEAK_CFG,
+     "status = infeasible\n"
+     "reason = no grid point satisfies peak >= 0.3 and |shift| <= 5 MHz\n"),
+], ids=["best-peak", "no-best-peak"])
+def test_infeasible_summary_bytes(tmp_path, text, want):
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 4
+    assert (out / "optimize_summary.txt").read_bytes() == want.encode()
 
 
 def test_validate_passes_and_is_byte_identical(tmp_path):
@@ -534,6 +561,19 @@ def test_failed_write_removes_its_temporary_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         cli._atomic_write(str(path), "ok\n\ud800\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_offers_init_and_the_command_table():
+    parser = cli.build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert list(sub.choices) == ["init", *cli.COMMANDS]
+    # benchmark scripts pass --threads to every command
+    for name in cli.COMMANDS:
+        args = parser.parse_args([name, "--config", "run.cfg", "--out", "o",
+                                  "--threads", "2", "--seed", "3"])
+        assert (args.command, args.config, args.out, args.threads,
+                args.seed) == (name, "run.cfg", "o", 2, 3)
 
 
 @pytest.mark.parametrize("code", [0, 2])

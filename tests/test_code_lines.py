@@ -49,3 +49,15 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["module", "physical", "code"], ["shapes.py", "24", "7"],
                     ["shapes.py", "24", "7"], ["total", "48", "14"]]
+
+
+def test_compare_counts_a_module_missing_on_one_side_as_0():
+    before = {"shapes.py": SNIPPET, "gone.py": "x = 1\n"}
+    after = {"shapes.py": SNIPPET + "y = 2\n", "new.py": "# comment\nz = 3\n"}
+    rows = [line.split() for line in tool.compare(before, after)[1:]]
+    assert rows == [
+        ["module", "rev", "now", "change", "rev", "now", "change"],
+        ["gone.py", "1", "0", "-1", "1", "0", "-1"],
+        ["new.py", "0", "2", "+2", "0", "1", "+1"],
+        ["shapes.py", "24", "25", "+1", "7", "8", "+1"],
+        ["total", "25", "27", "+2", "8", "9", "+1"]]
