@@ -18,6 +18,7 @@ import sys
 import threading
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
 
 from .averaging import AveragingParams
 from .errors import InfeasibleError, MetricsError
@@ -110,11 +111,23 @@ def seed_points(eta: float, k_values: list[float]) -> list[float]:
     return seeds
 
 
-def _dominates(a: SpectrumMetrics, b: SpectrumMetrics) -> bool:
-    """True when a is at least as good as b in (peak, width), better in one."""
-    no_worse = a.peak_value >= b.peak_value and a.fwhm <= b.fwhm
-    better = a.peak_value > b.peak_value or a.fwhm < b.fwhm
-    return no_worse and better
+def _best_and_front(points: list[EvalPoint]) -> tuple[EvalPoint, list[EvalPoint]]:
+    """The best of ``points`` and their peak/width Pareto front, in order.
+
+    The best point ranks first by width, then larger peak, smaller R and
+    smaller s. A point is on the front when its peak is the highest of its
+    width and above every narrower point's peak.
+    """
+    ranked = sorted(points, key=lambda pt: (pt.metrics.fwhm, -pt.metrics.peak_value,
+                                            pt.ratio_r, pt.s))
+    kept, higher = set(), -math.inf
+    for _, same_width in groupby(ranked, key=lambda pt: pt.metrics.fwhm):
+        same_width = list(same_width)
+        top = same_width[0].metrics.peak_value
+        if top > higher:
+            kept.update(id(pt) for pt in same_width if pt.metrics.peak_value == top)
+            higher = top
+    return ranked[0], [pt for pt in points if id(pt) in kept]
 
 
 def _outcomes(evaluate, points: list) -> list:
@@ -295,10 +308,4 @@ def optimize(scheme: str, space: SearchSpace, transmon: TransmonParams,
             best_peak_point=best_peak,
         )
 
-    best = min(feasible_pts,
-               key=lambda pt: (pt.metrics.fwhm, -pt.metrics.peak_value,
-                               pt.ratio_r, pt.s))
-    front = [pt for pt in feasible_pts
-             if not any(_dominates(other.metrics, pt.metrics)
-                        for other in feasible_pts if other is not pt)]
-    return OptimizationResult(best, front, trace)
+    return OptimizationResult(*_best_and_front(feasible_pts), trace)

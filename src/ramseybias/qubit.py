@@ -138,56 +138,45 @@ def omega_eg(params: TransmonParams, phi: float) -> float:
     return gap
 
 
-def regime_quantities(params: TransmonParams, drive: DriveParams,
-                      regime: str) -> RegimeQuantities:
-    """Detuning, precession rate and mixing angle at one bias point.
+def regime_quantities(params: TransmonParams, eta: float, omega: float | np.ndarray
+                      ) -> tuple[DriveParams, RegimeQuantities, RegimeQuantities]:
+    """Checked drive record and the detuning quantities of both bias points.
 
-    The regime picks the bias: ``"resonant"`` evaluates at
-    ``params.phi_res`` and ``"dispersive"`` at ``params.phi_disp``.
-    Broadcasts over ``drive.omega`` (a scalar or a grid). The returned
-    record carries ``delta``, ``lam`` and ``theta``; the dispersive one
-    additionally carries ``delta_d``, the phase-accumulation rate
+    Returns ``DriveParams(eta, omega)``, the resonant record at
+    ``params.phi_res`` and the dispersive one at ``params.phi_disp``.
+    Broadcasts over ``omega`` (a scalar or a grid). Each record carries
+    ``delta``, ``lam`` and ``theta``; the dispersive one additionally
+    carries ``delta_d``, the phase-accumulation rate
     ``(omega_eg' - omega)/2 + eta^2/(omega_eg' - omega)``.
 
     Raises
     ------
-    ValueError
-        If ``regime`` is neither of the two.
     DomainError
-        If a probe frequency is exactly resonant with the dispersive-bias
-        splitting (the rate diverges); the first such frequency is named.
+        As :class:`DriveParams` does, or if a probe frequency is exactly
+        resonant with the dispersive-bias splitting (the rate diverges);
+        the first such frequency is named.
 
     Warns
     -----
     UserWarning
-        When ``|omega_eg' - omega| < 10 eta`` in the dispersive regime,
-        where treating the segment as pure phase accumulation degrades; the
+        When ``|omega_eg' - omega| < 10 eta`` at the dispersive bias, where
+        treating the segment as pure phase accumulation degrades; the
         message counts the probe frequencies affected.
     """
-    if regime not in ("resonant", "dispersive"):
-        raise ValueError(f"unknown regime {regime!r}")
-    w_eg = omega_eg(params, params.phi_res if regime == "resonant"
-                    else params.phi_disp)
-    eta = drive.eta
-    delta = (w_eg - drive.omega) / 2.0
-    if regime == "resonant":
-        return RegimeQuantities(delta, eta)
-
-    detune = w_eg - drive.omega
+    drive = DriveParams(eta, omega)
+    q_res = RegimeQuantities((omega_eg(params, params.phi_res) - omega) / 2.0, eta)
+    detune = omega_eg(params, params.phi_disp) - omega
     hit = np.flatnonzero(detune == 0.0)
     if hit.size:
         raise DomainError(
             "probe exactly resonant with the dispersive-bias splitting at "
-            f"omega/2pi = {to_ghz(np.ravel(drive.omega)[hit[0]]):.9g} GHz; "
-            "the dispersive rate diverges"
-        )
+            f"omega/2pi = {to_ghz(np.ravel(omega)[hit[0]]):.9g} GHz; "
+            "the dispersive rate diverges")
     close = int(np.count_nonzero(np.abs(detune) < DISPERSIVE_MARGIN * eta))
     if close:
         warnings.warn(
             f"{close} of {np.size(detune)} probe frequencies within "
             f"{DISPERSIVE_MARGIN:g} eta of the dispersive-bias splitting; the "
-            "far-detuning approximation assumes |detuning| >> eta",
-            stacklevel=2,
-        )
+            "far-detuning approximation assumes |detuning| >> eta", stacklevel=2)
     delta_d = detune / 2.0 + eta**2 / detune
-    return RegimeQuantities(delta, eta, delta_d)
+    return drive, q_res, RegimeQuantities(detune / 2.0, eta, delta_d)

@@ -80,9 +80,7 @@ class SpectrumMetrics:
 def _grid_quantities(transmon: TransmonParams, eta: float,
                      grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resonant-bias lam and theta and dispersive-bias delta_d over a grid."""
-    drive = DriveParams(eta, grid)
-    q_res = regime_quantities(transmon, drive, "resonant")
-    q_disp = regime_quantities(transmon, drive, "dispersive")
+    _, q_res, q_disp = regime_quantities(transmon, eta, grid)
     return q_res.lam, q_res.theta, q_disp.delta_d
 
 
@@ -159,7 +157,8 @@ def sweep(scheme: str, transmon: TransmonParams, eta: float,
         raise ValueError("omega grid must be strictly increasing")
     n_res = parse_scheme(scheme)
     if n_res is None:
-        delta = regime_quantities(transmon, DriveParams(eta, grid), "resonant").delta
+        w_res = omega_eg(transmon, transmon.phi_res)
+        delta = (w_res - DriveParams(eta, grid).omega) / 2.0
         return Spectrum(grid, cw_amplitude * eta**2 / (delta * delta + eta**2), scheme)
     if avg is None:
         raise ValueError(f"scheme {scheme!r} requires averaging parameters")

@@ -22,7 +22,7 @@ from .averaging import RANGE_TOL, AveragingParams, McConfig, i_s, mc_oracle
 from .evolution import (BiasTrain, GROUND, compose_train, dispersive_phase,
                         propagate_segment, train_excitation)
 from .optimizer import _evaluate_all, seed_points
-from .qubit import DriveParams, TransmonParams, omega_eg, regime_quantities
+from .qubit import TransmonParams, omega_eg, regime_quantities
 from .spectroscopy import make_grid, pe_average
 from .units import to_ghz
 
@@ -77,13 +77,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _quantities(transmon, eta, omega):
-    drive = DriveParams(eta, omega)
-    q_res = regime_quantities(transmon, drive, "resonant")
-    q_disp = regime_quantities(transmon, drive, "dispersive")
-    return drive, q_res, q_disp
-
-
 def run_validation(transmon: TransmonParams, eta: float, mc: McConfig,
                    avg: AveragingParams | None = None) -> ValidationReport:
     """Run every cross-check and collect a deterministic report.
@@ -96,12 +89,15 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig,
     w_res = omega_eg(transmon, transmon.phi_res)
     checks: list[CheckResult] = []
 
+    def check(name, measured, bound, detail):
+        checks.append(CheckResult(name, measured <= bound, measured, bound, detail))
+
     # the phase-free population that every moment table comes from vs the
     # laboratory-frame composer, and the composer's norm, on the same trains
     worst_pop = worst_norm = 0.0
     for _ in range(200):
         omega = rng.uniform(0.8 * w_res, 1.2 * w_res)
-        drive, q_res, q_disp = _quantities(transmon, eta, omega)
+        drive, q_res, q_disp = regime_quantities(transmon, eta, omega)
         n_res = int(rng.integers(1, 7))
         tau = rng.uniform(0.0, 6.0 / eta, size=10)
         ratio = float(rng.uniform(0.0, 0.2))
@@ -111,22 +107,17 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig,
         worst_pop = max(worst_pop, float(np.max(np.abs(state.p_e() - want))))
         worst_norm = max(worst_norm,
                          float(np.max(np.abs(state.norm_sq() - 1.0))))
-    checks.append(CheckResult("train_population_vs_composed", worst_pop <= 1e-10,
-                              worst_pop, 1e-10,
-                              "max |train_excitation - composed p_e| over "
-                              "random trains, order 1..6"))
-    checks.append(CheckResult("train_norm_preservation", worst_norm <= 1e-12,
-                              worst_norm, 1e-12,
-                              "max |norm - 1| over random trains, order 1..6"))
+    check("train_population_vs_composed", worst_pop, 1e-10,
+          "max |train_excitation - composed p_e| over random trains, order 1..6")
+    check("train_norm_preservation", worst_norm, 1e-12,
+          "max |norm - 1| over random trains, order 1..6")
 
     # tabulated cosine-weighted moment vs quadrature, in the dimensionless
     # argument b = beta*s so that no time constant can overflow the grid
     b_grid = np.linspace(0.0, 10.0 * np.pi, 1000)
     dev = np.abs(i_s(b_grid, 1.0) - i_s(b_grid, 1.0, method="quad"))
-    worst = float(np.max(dev))
-    checks.append(CheckResult("moment_table_vs_quadrature", worst <= 1e-9,
-                              worst, 1e-9,
-                              "1000-point grid, moment argument in [0, 10 pi]"))
+    check("moment_table_vs_quadrature", float(np.max(dev)), 1e-9,
+          "1000-point grid, moment argument in [0, 10 pi]")
 
     # the averages every curve comes from vs the Monte Carlo oracle: every
     # block's (omega, s, R) is drawn here in order, then the blocks run on
@@ -142,7 +133,7 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig,
 
     def compare(job):
         n_res, omega, drawn, draw_mc = job
-        drive, q_res, q_disp = _quantities(transmon, eta, omega)
+        drive, q_res, q_disp = regime_quantities(transmon, eta, omega)
         exact = pe_average(n_res, q_res.lam, q_res.theta, q_disp.delta_d, drawn)
         return (exact, *mc_oracle(n_res, q_res, q_disp, drive, drawn, draw_mc))
 
@@ -161,7 +152,7 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig,
                                   f"over {MC_DRAWS} draws at {mc.n_samples} samples"))
 
     # pure-phase dispersive step vs the exact two-level propagator
-    drive, q_res, q_disp = _quantities(transmon, eta, w_res)
+    drive, q_res, q_disp = regime_quantities(transmon, eta, w_res)
     worst = 0.0
     for _ in range(50):
         t_disp = float(rng.uniform(0.0, 2.0 / eta))
@@ -172,33 +163,28 @@ def run_validation(transmon: TransmonParams, eta: float, mc: McConfig,
         dev = max(float(np.abs(approx.c_e - exact.c_e)),
                   float(np.abs(approx.c_g - exact.c_g)))
         worst = max(worst, dev)
-    mixing_bound = 2.0 * np.sin(q_disp.theta)
-    checks.append(CheckResult("dispersive_phase_vs_exact",
-                              worst <= mixing_bound, worst, mixing_bound,
-                              "diagnostic: residual mixing of the far-detuned "
-                              "bias, bounded by twice its mixing-angle sine"))
+    check("dispersive_phase_vs_exact", worst, 2.0 * np.sin(q_disp.theta),
+          "diagnostic: residual mixing of the far-detuned bias, bounded by "
+          "twice its mixing-angle sine")
 
     # probability range of the averaged curves over w_res +- 1 GHz, cut
     # below at one 5 MHz step so that every probe frequency is positive
     step = 2.0 * np.pi * 5e6
     grid = make_grid(max(w_res - 2.0 * np.pi * 1.0e9, step),
                      w_res + 2.0 * np.pi * 1.0e9, step)
-    _, grid_res, grid_disp = _quantities(transmon, eta, grid)
+    _, grid_res, grid_disp = regime_quantities(transmon, eta, grid)
     raw = pe_average(2, grid_res.lam, grid_res.theta, grid_disp.delta_d, avg)
     excess = float(max(np.max(raw) - 1.0, -np.min(raw), 0.0))
-    checks.append(CheckResult("double_avg_probability_range",
-                              excess <= RANGE_TOL, excess, RANGE_TOL,
-                              f"raw range excess over [0, 1] on "
-                              f"{grid.size} points around "
-                              f"{to_ghz(w_res):.4f} GHz"))
+    check("double_avg_probability_range", excess, RANGE_TOL,
+          f"raw range excess over [0, 1] on {grid.size} points around "
+          f"{to_ghz(w_res):.4f} GHz")
 
     # bitwise determinism of the sampled oracle
     first = mc_oracle(2, q_res, q_disp, drive, avg,
                       McConfig(min(mc.n_samples, 10**5), mc.rng_seed))
     second = mc_oracle(2, q_res, q_disp, drive, avg,
                        McConfig(min(mc.n_samples, 10**5), mc.rng_seed))
-    dev = abs(first[0] - second[0]) + abs(first[1] - second[1])
-    checks.append(CheckResult("mc_determinism", dev == 0.0, dev, 0.0,
-                              "identical seeds must agree bit for bit"))
+    check("mc_determinism", abs(first[0] - second[0]) + abs(first[1] - second[1]),
+          0.0, "identical seeds must agree bit for bit")
 
     return ValidationReport(mc.rng_seed, mc.n_samples, checks)

@@ -23,10 +23,10 @@ import time
 import numpy as np
 import pytest
 
-from ramseybias import (AveragingParams, BiasTrain, DriveParams, McConfig,
-                        TransmonParams, compose_train, mc_oracle, metrics,
-                        omega_eg, optimizer, pe_average, regime_quantities,
-                        run_validation, sweep_refined, validation)
+from ramseybias import (AveragingParams, BiasTrain, McConfig, TransmonParams,
+                        compose_train, mc_oracle, metrics, omega_eg, optimizer,
+                        pe_average, regime_quantities, run_validation,
+                        sweep_refined, validation)
 from ramseybias.units import ghz, to_ghz, to_mhz
 from closed_amplitudes import ce_double, ce_triple
 from triple_closed_form import pe_avg_triple_closed
@@ -47,13 +47,6 @@ DEFAULT_PEAK_GHZ = 4.504648702454
 
 def report(num, ok, text):
     print(f"CRITERION {num}: {'PASS' if ok else 'FAIL'} - {text}")
-
-
-def quantities(transmon, omega):
-    drive = DriveParams(ETA, omega)
-    q_res = regime_quantities(transmon, drive, "resonant")
-    q_disp = regime_quantities(transmon, drive, "dispersive")
-    return drive, q_res, q_disp
 
 
 def pe_avg(n_res, q_res, q_disp, avg):
@@ -204,7 +197,8 @@ def test_criterion_8_closed_vs_composed():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
-        drive, q_res, q_disp = quantities(transmon, rng.uniform(ghz(3.5), ghz(5.5)))
+        omega = rng.uniform(ghz(3.5), ghz(5.5))
+        drive, q_res, q_disp = regime_quantities(transmon, ETA, omega)
         tau = rng.uniform(0.0, 6e-9, size=10)
         ratio = rng.uniform(0.0, 0.3)
         for n_res, closed in ((2, ce_double), (3, ce_triple)):
@@ -241,7 +235,7 @@ def test_criterion_9_oracle_equivalence():
 
     def deviation(job):
         draw, omega, avg = job
-        drive, q_res, q_disp = quantities(transmon, omega)
+        drive, q_res, q_disp = regime_quantities(transmon, ETA, omega)
         if draw % 2 == 0:
             n_res, closed = 2, pe_avg(2, q_res, q_disp, avg)
         else:
@@ -264,13 +258,14 @@ def test_criterion_10_close_resonance_approximation():
     transmon = TransmonParams.from_ghz()
     w_res = omega_eg(transmon, transmon.phi_res)
     avg = AveragingParams(S_TRIPLE, R_TRIPLE)
-    _, q_res, q_disp = quantities(transmon, w_res)
+    _, q_res, q_disp = regime_quantities(transmon, ETA, w_res)
     on_res = abs(pe_avg_triple_closed(q_res, q_disp, avg)
                  - pe_avg(3, q_res, q_disp, avg))
     # off-resonance deviation is reported, not asserted
     deviations = []
     for off_mhz in (250.0, 500.0, 1000.0):
-        _, q_r, q_d = quantities(transmon, w_res + ghz(off_mhz / 1e3))
+        omega = w_res + ghz(off_mhz / 1e3)
+        _, q_r, q_d = regime_quantities(transmon, ETA, omega)
         deviations.append(abs(pe_avg_triple_closed(q_r, q_d, avg)
                               - pe_avg(3, q_r, q_d, avg)))
     ok = on_res <= 1e-6

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.optimize import minimize_scalar
 
-from ramseybias import (AveragingParams, BiasTrain, DomainError, DriveParams,
+from ramseybias import (AveragingParams, BiasTrain, DomainError,
                         McConfig, TransmonParams, averaging, compose_train,
                         i_s, make_grid, mc_oracle, omega_eg, optimizer,
                         pe_average, regime_quantities, sample_maxwell, sweep)
@@ -32,10 +32,7 @@ W_RES = omega_eg(TRANSMON, TRANSMON.phi_res)
 
 
 def quantities(omega):
-    drive = DriveParams(ETA, omega)
-    q_res = regime_quantities(TRANSMON, drive, "resonant")
-    q_disp = regime_quantities(TRANSMON, drive, "dispersive")
-    return drive, q_res, q_disp
+    return regime_quantities(TRANSMON, ETA, omega)
 
 
 def pe_avg(n_res, q_res, q_disp, avg):

@@ -22,7 +22,7 @@ from ramseybias.config import TEMPLATE, load_config
 from ramseybias.spectroscopy import sweep_refined
 from ramseybias.units import RAD_PER_GHZ, ghz, to_ghz
 from ramseybias.validation import CheckResult, ValidationReport, run_validation
-from test_golden_outputs import GOLDEN
+from test_golden_outputs import CONFIGS as GOLDEN_CONFIGS, GOLDEN
 
 # small window keeps CLI runs around the peak fast while preserving
 # both half-maximum crossings (cw width is 0.4 GHz)
@@ -293,13 +293,17 @@ def test_validation_ratio_defaults_to_0_001(tmp_path):
     assert default.render() == explicit.render()
 
 
+# the line sits at 0.901 GHz, so the range check's window of w_res +- 1 GHz
+# would reach below zero
+LOW_LINE_CFG = (FAST_CFG.replace("phi_res = 0.46", "ec_ghz = 0.1\nphi_res = 0.46")
+                .replace("eta_ghz = 0.1", "eta_ghz = 0.02")
+                .replace("min_ghz = 4.0", "min_ghz = 0.5")
+                .replace("max_ghz = 5.0", "max_ghz = 1.3")
+                .replace("n_samples = 20000", "n_samples = 2000"))
+
+
 def test_validate_keeps_its_probe_frequencies_positive(tmp_path):
-    # the line sits at 0.901 GHz, so the range check's window of
-    # w_res +- 1 GHz would reach below zero
-    text = FAST_CFG.replace("phi_res = 0.46", "ec_ghz = 0.1\nphi_res = 0.46")
-    text = text.replace("eta_ghz = 0.1", "eta_ghz = 0.02").replace(
-        "min_ghz = 4.0", "min_ghz = 0.5").replace("max_ghz = 5.0", "max_ghz = 1.3")
-    cfg = write_cfg(tmp_path, text.replace("n_samples = 20000", "n_samples = 2000"))
+    cfg = write_cfg(tmp_path, LOW_LINE_CFG)
     out = tmp_path / "out"
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
     report = read_report(out / "validation_report.txt")
@@ -935,3 +939,29 @@ def test_mutated_template_never_exits_1(command, changes):
         with open(cfg, "w", encoding="utf-8") as handle:
             handle.write(text.replace("{out}", out))
         assert main([command, "--config", cfg]) in {0, 2, 3, 4, 5}
+
+
+def _warnings_of(tmp_path, command, text):
+    cfg = write_cfg(tmp_path, text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    return [f"{os.path.basename(w.filename)}: {w.category.__name__}: {w.message}"
+            for w in caught]
+
+
+def test_optimize_keeps_its_warnings_and_their_order(tmp_path):
+    # the golden close_splitting run: fine passes within 10 eta of the
+    # dispersive splitting, each warned about from the sweep's grid
+    caught = _warnings_of(tmp_path, "optimize", GOLDEN_CONFIGS["close_splitting"])
+    assert (len(caught), len(set(caught))) == (72, 28)
+    assert all(c.startswith("spectroscopy.py: UserWarning: ") for c in caught)
+    assert (hashlib.md5("\n".join(caught).encode()).hexdigest()
+            == "86fc63c09c418c88d0268d800884ec3b")
+
+
+def test_validate_keeps_its_warning(tmp_path):
+    assert _warnings_of(tmp_path, "validate", LOW_LINE_CFG) == [
+        "validation.py: UserWarning: 80 of 380 probe frequencies within 10 eta "
+        "of the dispersive-bias splitting; the far-detuning approximation "
+        "assumes |detuning| >> eta"]

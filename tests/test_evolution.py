@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ramseybias import (BiasTrain, DriveParams, QubitAmplitudes,
+from ramseybias import (BiasTrain, QubitAmplitudes,
                         TransmonParams, compose_train, dispersive_phase,
                         propagate_segment, regime_quantities, sample_maxwell)
 from ramseybias.evolution import GROUND, train_excitation
@@ -16,10 +16,7 @@ TRANSMON = TransmonParams.from_ghz(0.5, 100.0, 0.46, 0.49)
 
 
 def quantities(omega_ghz=4.505, eta_ghz=0.1):
-    drive = DriveParams(ghz(eta_ghz), ghz(omega_ghz))
-    q_res = regime_quantities(TRANSMON, drive, "resonant")
-    q_disp = regime_quantities(TRANSMON, drive, "dispersive")
-    return drive, q_res, q_disp
+    return regime_quantities(TRANSMON, ghz(eta_ghz), ghz(omega_ghz))
 
 
 def stepwise_train(q_res, q_disp, drive, train):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ramseybias import (DomainError, InfeasibleError, ObjectiveConfig,
-                        SearchSpace, TransmonParams, omega_eg,
+                        SearchSpace, SpectrumMetrics, TransmonParams, omega_eg,
                         optimize, optimizer, seed_points)
 from ramseybias.units import ghz, to_mhz
 
@@ -112,6 +112,36 @@ def test_pareto_front_is_non_dominated():
                          and (a.metrics.peak_value > b.metrics.peak_value
                               or a.metrics.fwhm < b.metrics.fwhm))
             assert not dominates
+
+
+def _dominates(a, b):
+    """The front's definition: a is at least as high and as narrow as b,
+    and better in one."""
+    no_worse = a.peak_value >= b.peak_value and a.fwhm <= b.fwhm
+    better = a.peak_value > b.peak_value or a.fwhm < b.fwhm
+    return no_worse and better
+
+
+def test_front_equals_the_pairwise_definition():
+    # few distinct widths and peaks, so that points tie in peak, in width
+    # and in both; the best point is the minimum of its key
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        size = int(rng.integers(1, 60))
+        widths = rng.choice(rng.uniform(1.0, 2.0, size=int(rng.integers(1, 8))), size)
+        peaks = rng.choice(rng.uniform(0.3, 1.0, size=int(rng.integers(1, 8))), size)
+        points = [optimizer.EvalPoint(float(rng.choice([1e-9, 2e-9])),
+                                      float(rng.choice([0.001, 0.01])),
+                                      SpectrumMetrics(0.0, float(p), float(w), None, []),
+                                      True)
+                  for w, p in zip(widths, peaks)]
+        best, front = optimizer._best_and_front(points)
+        assert best is min(points, key=lambda pt: (pt.metrics.fwhm,
+                                                   -pt.metrics.peak_value,
+                                                   pt.ratio_r, pt.s))
+        want = [pt for pt in points
+                if not any(_dominates(other.metrics, pt.metrics) for other in points)]
+        assert [id(pt) for pt in front] == [id(pt) for pt in want]
 
 
 def test_enlarging_space_never_worsens():

@@ -196,9 +196,7 @@ def test_fwhm_converges_under_refinement():
 def test_single_point_sweep_matches_scalar_average():
     grid = np.array([W_RES])
     spec = sweep("double", TRANSMON, ETA, grid, default_avg())
-    drive = DriveParams(ETA, W_RES)
-    q_res = regime_quantities(TRANSMON, drive, "resonant")
-    q_disp = regime_quantities(TRANSMON, drive, "dispersive")
+    _, q_res, q_disp = regime_quantities(TRANSMON, ETA, W_RES)
     assert spec.p_e[0] == pytest.approx(
         pe_average(2, q_res.lam, q_res.theta, q_disp.delta_d, default_avg()),
         rel=1e-12)
@@ -237,9 +235,7 @@ def test_grid_quantities_match_pointwise_route():
     grid = np.sort(rng.uniform(0.8, 1.2, size=30)) * W_RES
     lam, theta, delta_d = _grid_quantities(TRANSMON, ETA, grid)
     for i, w in enumerate(grid):
-        drive = DriveParams(ETA, w)
-        q_res = regime_quantities(TRANSMON, drive, "resonant")
-        q_disp = regime_quantities(TRANSMON, drive, "dispersive")
+        _, q_res, q_disp = regime_quantities(TRANSMON, ETA, w)
         assert lam[i] == q_res.lam
         assert theta[i] == q_res.theta
         assert delta_d[i] == q_disp.delta_d
