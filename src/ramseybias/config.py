@@ -133,16 +133,15 @@ class _Section:
             return default
         return self.parser.get(self.name, key).strip()
 
-    def number(self, key: str, default: float | None = None) -> float:
-        value = self.text(key, None if default is None else str(default))
+    def number(self, key: str, default: float | None = None,
+               unit: float = 1.0) -> float:
+        """The key's finite number times ``unit``, refused where the product
+        overflows."""
+        text = self.text(key, None if default is None else str(default))
         try:
-            return _finite(value)
+            value = _finite(text) * unit
         except ValueError:
-            _fail(self.name, key, f"expected a finite number, got {value!r}")
-
-    def scaled(self, key: str, unit: float, default: float | None = None) -> float:
-        """``number(key) * unit``, refused where the product overflows."""
-        value = self.number(key, default) * unit
+            _fail(self.name, key, f"expected a finite number, got {text!r}")
         if not np.isfinite(value):
             _fail(self.name, key, "too large: overflows in internal units")
         return value
@@ -160,34 +159,38 @@ class _Section:
             _fail(self.name, key, f"expected true/false, got {value!r}")
         return self.parser.BOOLEAN_STATES[value]
 
+    def values(self, key: str) -> tuple[float, ...]:
+        """Comma list of numbers, or ``logspace:min,max,count``."""
+        text = self.text(key)
+        if text.startswith("logspace:"):
+            parts = text[len("logspace:"):].split(",")
+            if len(parts) != 3:
+                _fail(self.name, key, "logspace needs min,max,count")
+            try:
+                lo, hi, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
+            except ValueError:
+                _fail(self.name, key, f"malformed logspace spec {text!r}")
+            if lo <= 0 or hi <= 0 or not 1 <= count <= MAX_GRID_POINTS:
+                _fail(self.name, key, "logspace needs positive bounds and a count "
+                                      f"from 1 to {MAX_GRID_POINTS:,}")
+            return tuple(float(v) for v in np.geomspace(lo, hi, count))
+        try:
+            return tuple(_finite(v) for v in text.split(","))
+        except ValueError:
+            _fail(self.name, key,
+                  f"expected a comma list of finite numbers, got {text!r}")
+
 
 def parse_time_constant(text: str, eta: float) -> float:
     """Time constant in seconds from a ns number or a 0.68pi/<k>eta rule."""
     rule = _S_RULE.match(text)
     if rule:
         return seed_points(eta, [float(rule.group(1))])[0]
-    return ns(_finite(text))
-
-
-def _parse_values(text: str, section: str, key: str) -> tuple[float, ...]:
-    """Comma list of numbers, or ``logspace:min,max,count``."""
-    text = text.strip()
-    if text.startswith("logspace:"):
-        parts = text[len("logspace:"):].split(",")
-        if len(parts) != 3:
-            _fail(section, key, "logspace needs min,max,count")
-        try:
-            lo, hi, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
-        except ValueError:
-            _fail(section, key, f"malformed logspace spec {text!r}")
-        if lo <= 0 or hi <= 0 or not 1 <= count <= MAX_GRID_POINTS:
-            _fail(section, key, "logspace needs positive bounds and a count "
-                                f"from 1 to {MAX_GRID_POINTS:,}")
-        return tuple(float(v) for v in np.geomspace(lo, hi, count))
     try:
-        return tuple(_finite(v) for v in text.split(","))
-    except ValueError:
-        _fail(section, key, f"expected a comma list of finite numbers, got {text!r}")
+        return ns(_finite(text))
+    except ValueError as exc:
+        raise ValueError("expected a finite number of ns or 0.68pi/<k>eta, "
+                         f"got {text!r}") from exc
 
 
 def load_config(path: str) -> RunConfig:
@@ -221,7 +224,7 @@ def load_config(path: str) -> RunConfig:
         phi_disp=transmon_sec.number("phi_disp"),
     )
 
-    eta = _Section(parser, "drive", read).scaled("eta_ghz", RAD_PER_GHZ)
+    eta = _Section(parser, "drive", read).number("eta_ghz", unit=RAD_PER_GHZ)
     if eta <= 0:
         _fail("drive", "eta_ghz", "must be positive")
 
@@ -229,14 +232,14 @@ def load_config(path: str) -> RunConfig:
     checked("[scheme] kind", parse_scheme, scheme)
 
     sweep_sec = _Section(parser, "sweep", read)
-    omega_min = sweep_sec.scaled("min_ghz", RAD_PER_GHZ)
-    omega_max = sweep_sec.scaled("max_ghz", RAD_PER_GHZ)
+    omega_min = sweep_sec.number("min_ghz", unit=RAD_PER_GHZ)
+    omega_max = sweep_sec.number("max_ghz", unit=RAD_PER_GHZ)
     if not omega_min > 0:
         _fail("sweep", "min_ghz", "probe frequencies must be positive")
     if not omega_max > omega_min:
         _fail("sweep", "max_ghz", "empty grid: max_ghz must exceed min_ghz")
-    coarse_step = sweep_sec.scaled("step_mhz", RAD_PER_MHZ, 1.0)
-    refine_step = sweep_sec.scaled("refine_step_mhz", RAD_PER_MHZ, 0.1)
+    coarse_step = sweep_sec.number("step_mhz", 1.0, RAD_PER_MHZ)
+    refine_step = sweep_sec.number("refine_step_mhz", 0.1, RAD_PER_MHZ)
     for key, step in (("step_mhz", coarse_step), ("refine_step_mhz", refine_step)):
         # the refined pass spans at most the whole window
         checked(f"[sweep] {key}", grid_points, omega_min, omega_max, step)
@@ -258,14 +261,13 @@ def load_config(path: str) -> RunConfig:
     opt_sec = _Section(parser, "optimizer", read)
     s_grid: list[float] = []
     if opt_sec.has("k_values"):
-        k_values = _parse_values(opt_sec.text("k_values"), "optimizer", "k_values")
-        s_grid.extend(checked("[optimizer] k_values", seed_points, eta, k_values))
+        s_grid.extend(checked("[optimizer] k_values", seed_points, eta,
+                              opt_sec.values("k_values")))
     if opt_sec.has("s_values_ns"):
-        s_grid.extend(ns(v) for v in _parse_values(
-            opt_sec.text("s_values_ns"), "optimizer", "s_values_ns"))
+        s_grid.extend(ns(v) for v in opt_sec.values("s_values_ns"))
     search = None
     if opt_sec.has("r_values"):
-        r_grid = _parse_values(opt_sec.text("r_values"), "optimizer", "r_values")
+        r_grid = opt_sec.values("r_values")
         if not s_grid:
             _fail("optimizer", "k_values",
                   "required with r_values, unless s_values_ns is given")
@@ -280,7 +282,7 @@ def load_config(path: str) -> RunConfig:
                         opt_sec.number("p_min", ObjectiveConfig.p_min))
     if opt_sec.has("shift_max_mhz"):
         objective = checked("[optimizer] shift_max_mhz", replace, objective,
-                            shift_max=opt_sec.scaled("shift_max_mhz", RAD_PER_MHZ))
+                            shift_max=opt_sec.number("shift_max_mhz", unit=RAD_PER_MHZ))
 
     # seed 0 stands in until n_samples has passed, so that a refusal names
     # its key

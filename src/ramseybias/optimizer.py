@@ -222,12 +222,10 @@ def _evaluate_all(evaluate, points: list) -> list:
                 raise RuntimeError(f"cannot start a worker process: {exc}") from exc
             pids.append(pid)
         shares = [_outcomes(evaluate, points[::workers])]
-        # read to the end before waiting: a child blocks on a full pipe
-        sent = []
         for fd in pipes:
+            # read to the end before waiting: a child blocks on a full pipe
             with open(fd, "rb", closefd=False) as pipe:
-                sent.append(pipe.read())
-        for data in sent:
+                data = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
             del pids[0]
             if status != 0:

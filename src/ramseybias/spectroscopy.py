@@ -101,7 +101,12 @@ def parse_scheme(scheme: str) -> int | None:
     if scheme == "triple":
         return 3
     if scheme.startswith("general:"):
-        return _train_order(int(scheme.split(":", 1)[1]))
+        try:
+            n_res = int(scheme[len("general:"):])
+        except ValueError as exc:
+            raise ValueError(f"expected general:<n> with an integer n, got "
+                             f"{scheme!r}") from exc
+        return _train_order(n_res)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -149,12 +154,15 @@ def sweep(scheme: str, transmon: TransmonParams, eta: float,
     line A eta^2/(delta^2 + eta^2) with A = ``cw_amplitude``; its default
     1/2 is the large-argument duration average of the resonant oscillation,
     and location and width metrics do not depend on it.
+
+    An empty grid raises ValueError. A grid holding NaN or a non-positive
+    frequency raises the DomainError of :class:`DriveParams`, a ValueError,
+    before any average; any other grid that is not strictly increasing is
+    averaged and then refused with ValueError by its :class:`Spectrum`.
     """
     grid = np.asarray(omega_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty grid")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("omega grid must be strictly increasing")
     n_res = parse_scheme(scheme)
     if n_res is None:
         w_res = omega_eg(transmon, transmon.phi_res)
@@ -169,8 +177,12 @@ def sweep(scheme: str, transmon: TransmonParams, eta: float,
 def grid_points(omega_min: float, omega_max: float, step: float) -> int:
     """Point count of ``make_grid(omega_min, omega_max, step)``.
 
-    Raises ValueError for a step that is not positive, an empty window, or
-    a grid of more than ``MAX_GRID_POINTS`` points.
+    Raises ValueError for a step that is not positive, an empty window, a
+    grid of more than ``MAX_GRID_POINTS`` points, or a step that doubles
+    cannot resolve: point k is omega_min + step k, rounded twice, each time
+    by at most half the spacing u of doubles at a magnitude h that bounds
+    every product, sum and point. Neighbours then lie at least step - 2u
+    apart, so a step above 2u keeps the grid strictly increasing.
     """
     if not step > 0:
         raise ValueError(f"grid step must be positive, got {step}")
@@ -180,6 +192,11 @@ def grid_points(omega_min: float, omega_max: float, step: float) -> int:
     if not steps < MAX_GRID_POINTS:
         raise ValueError(f"grid exceeds the limit of {MAX_GRID_POINTS:,} points "
                          "per sweep")
+    # the last point may pass omega_max by a fraction of a step
+    u = math.ulp(max(abs(omega_min), abs(omega_max), omega_max - omega_min) + step)
+    if not step > 2.0 * u:
+        raise ValueError(f"grid step {step:.3g} rad/s is not above twice the "
+                         f"spacing of doubles in the window, {u:.3g} rad/s")
     return int(np.floor(steps)) + 1
 
 

@@ -411,6 +411,23 @@ GRIDS = "\n[optimizer]\nk_values = 3.0\nr_values = 0.001\n"
      "k_values = logspace:2,4,1001\nr_values = logspace:0.0005,0.1,1000", 2,
      "[optimizer] r_values: 1,001,000 (s, R) points exceed the limit"),
     ("validate", "n_samples = 20000", "n_samples = lots", 2, "[mc] n_samples:"),
+    # a step below twice the spacing of doubles near the window top would
+    # give equal neighbours: at 4.5 GHz a 2e-13 MHz step, and near
+    # 2 pi 1e22 rad/s, where doubles lie 8.4e6 rad/s apart, a 1 MHz one
+    *[(command, "min_ghz = 4.0\nmax_ghz = 5.0\nstep_mhz = 2.0\nrefine_step_mhz = 0.5",
+       "min_ghz = 4.5\nmax_ghz = 4.5000000001\nstep_mhz = 2e-13\n"
+       "refine_step_mhz = 2e-13", 2, "[sweep] step_mhz: grid step")
+      for command in ("baseline", "spectrum", "optimize")],
+    ("baseline", "min_ghz = 4.0\nmax_ghz = 5.0",
+     "min_ghz = 1e13\nmax_ghz = 10000000000001", 2, "[sweep] step_mhz: grid step"),
+    # a refusal says what the key takes, not what float() or int() said
+    *[("spectrum", old, new, 2, f"{blamed}: expected")
+      for old, new, blamed in (
+          ("s = 0.68pi/3eta", "s = abc", "[averaging] s"),
+          ("s = 0.68pi/3eta", "s = 0.68pi/abceta", "[averaging] s"),
+          ("kind = double", "kind = general:abc", "[scheme] kind"),
+          ("kind = double", "kind = general:", "[scheme] kind"),
+          ("kind = double", "kind = general:2.5", "[scheme] kind"))],
     # s and r come as a pair: a lone one is refused whatever the command
     *[(command, old, "", 2, blamed)
       for command in ("baseline", "spectrum", "optimize", "validate")

@@ -80,8 +80,10 @@ def test_time_constant_rule():
     assert parse_time_constant("1.7", eta) == pytest.approx(1.7e-9)
     with pytest.raises(ValueError):
         parse_time_constant("0.68pi/0eta", eta)
-    with pytest.raises(ValueError):
-        parse_time_constant("fast", eta)
+    for text in ("fast", "0.68pi/abceta", "inf"):
+        with pytest.raises(ValueError, match=rf"^expected a finite number of ns "
+                                             rf"or 0\.68pi/<k>eta, got '{text}'$"):
+            parse_time_constant(text, eta)
 
 
 def test_missing_section(tmp_path):

@@ -331,3 +331,36 @@ def test_optimize_leaves_no_child_process(monkeypatch):
     # the sleeping child was killed, not waited for
     assert time.perf_counter() - start < 30
     assert_no_child_left()
+
+
+def test_a_failed_fork_leaves_no_child_and_no_pipe(monkeypatch):
+    forking(monkeypatch, 3)
+    real_pipe, real_fork, fds = os.pipe, os.fork, []
+
+    def pipe():
+        fds.extend(real_pipe())
+        return fds[-2:]
+
+    def fork():
+        if fds[2:]:
+            # the second child cannot start; the first is running
+            raise OSError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    with deadline(120), pytest.raises(RuntimeError,
+                                      match="^cannot start a worker process: "):
+        optimizer._evaluate_all(lambda point: time.sleep(60), [1, 2, 3])
+    assert_no_child_left()
+    assert len(fds) == 4
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+@pytest.mark.parametrize("count, usable", [(None, 1), (3, 3)])
+def test_usable_cpus_without_affinity(monkeypatch, count, usable):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert optimizer._usable_cpus() == usable

@@ -47,6 +47,33 @@ def test_grid_points_ceiling():
             make_grid(0.0, hi, step)
 
 
+@pytest.mark.parametrize("top", [1.0, 2 * math.pi * 4.5e9, 2.0**52 + 6.0,
+                                 2 * math.pi * 1e22, 1e300, 2.0**40 - 2.0**-12])
+def test_every_accepted_grid_is_strictly_increasing(top):
+    # steps from half a spacing of doubles at the window top to four: a
+    # step up to two spacings is refused, and every grid accepted is
+    # strictly increasing. Just below a power of two the spacing doubles
+    # past the top, so there steps up to four spacings are refused.
+    spacing = math.ulp(top)
+    binade_edge = math.ulp(top + 4 * spacing) > spacing
+    accepted = 0
+    for factor in np.arange(0.5, 4.01, 0.25):
+        step = factor * spacing
+        for count in (1, 2, 3, 10, 997):
+            lo = top - count * step
+            if lo == top:
+                continue  # a window of half a spacing rounds away
+            try:
+                grid = make_grid(lo, top, step)
+            except ValueError as exc:
+                assert "spacing of doubles" in str(exc)
+                continue
+            assert factor > (4 if binade_edge else 2)
+            assert np.all(np.diff(grid) > 0)
+            accepted += 1
+    assert accepted == (0 if binade_edge else 8 * 5)
+
+
 def test_make_grid_rejects_empty_window():
     with pytest.raises(ValueError, match="empty grid"):
         make_grid(1.0, 1.0, 0.1)
@@ -65,6 +92,10 @@ def test_parse_scheme():
         parse_scheme("general:0")
     with pytest.raises(ValueError):
         parse_scheme("ramsey")
+    for tag in ("general:abc", "general:", "general:2.5"):
+        with pytest.raises(ValueError, match=rf"^expected general:<n> with an "
+                                             rf"integer n, got '{tag}'$"):
+            parse_scheme(tag)
     # the order's moment torus would exceed MAX_GRID_POINTS
     with pytest.raises(ValueError, match="1 to 25 resonant segments, got 1000"):
         parse_scheme("general:1_000")
@@ -184,6 +215,13 @@ def test_metrics_raises_when_the_peak_sample_is_below_the_half_level():
     assert err.value.side == "left"
 
 
+@pytest.mark.parametrize("p", [[0.5, 0.5, 0.5], [0.7, 0.2, 0.9]])
+def test_parabolic_peak_keeps_the_sample_without_downward_curvature(p):
+    # a flat or upward parabola has no maximum to refine to
+    x = np.array([1.0, 1.5, 3.0])
+    assert _parabolic_peak(x, np.array(p), 1) == (1.5, p[1])
+
+
 def test_fwhm_converges_under_refinement():
     coarse_step = ghz(0.002)
     m1 = metrics(lorentzian_spectrum(step=coarse_step))
@@ -204,11 +242,17 @@ def test_single_point_sweep_matches_scalar_average():
 
 
 def test_sweep_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty grid"):
         sweep("double", TRANSMON, ETA, np.array([]), default_avg())
-    with pytest.raises(ValueError):
-        sweep("double", TRANSMON, ETA, np.array([2.0, 1.0]) * W_RES,
-              default_avg())
+    # a decreasing grid is averaged, then refused by its Spectrum; a
+    # non-positive or NaN frequency is refused by DriveParams first
+    for scheme in ("cw", "double"):
+        with pytest.raises(ValueError, match="omega grid must be strictly increasing"):
+            sweep(scheme, TRANSMON, ETA, np.array([2.0, 1.0]) * W_RES,
+                  default_avg())
+        for bad in (np.nan, -W_RES):
+            with pytest.raises(DomainError, match="probe frequency must be positive"):
+                sweep(scheme, TRANSMON, ETA, np.array([W_RES, bad]), default_avg())
     with pytest.raises(ValueError):
         sweep("double", TRANSMON, ETA, np.array([W_RES]))  # avg missing
 
@@ -271,6 +315,12 @@ def test_tags_naming_the_same_train_give_identical_spectra():
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         Spectrum(np.array([1.0, 1.0]), np.array([0.1, 0.2]), "cw")
+    for omega, p_e in ((np.array([1.0, 2.0]), np.array([0.1])),
+                       (np.ones((2, 2)), np.ones((2, 2)))):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            Spectrum(omega, p_e, "cw")
+    with pytest.raises(ValueError, match="empty grid"):
+        Spectrum(np.array([]), np.array([]), "cw")
     with pytest.raises(ValueError):
         Spectrum(np.array([1.0, 2.0]), np.array([0.1, 1.5]), "cw")
 
